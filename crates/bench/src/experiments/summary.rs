@@ -13,13 +13,11 @@
 //! 3. **protocol round counts** — eg-distributed and decay at a fixed
 //!    `(n, p)` with 95% confidence intervals.
 //!
-//! Section 1b adds the forced sparse-vs-dense kernel pair and section 1c
-//! the lane-batched trial kernel against its scalar equivalent (64 trials
-//! per adjacency sweep; `elems/s` there is *trial* throughput).  Section
-//! 1d widens 1c to the tiled many-lane kernel: the raw 1024-lane
-//! gather/compress row sweep at the same `(n, d)`, plus a full
-//! 1024-lane protocol run through the forced-tiled batch entry point
-//! (the `--batch L --kernel tiled` CLI path).  Section 4
+//! Section 1b adds the forced sparse-vs-dense kernel pair.  Section 1d
+//! measures the tiled many-lane engine at the same `(n, d)`: the raw
+//! 1024-lane gather/compress row sweep (`elems/s` there is *trial*
+//! throughput), plus a full 1024-lane protocol run as the planner plans
+//! it (the `--batch L` CLI path).  Section 4
 //! runs the Theorem-7-shaped EG broadcast on the **implicit** backend at
 //! `n = 10⁴…10⁶` (`10⁷` in `--full`) with no adjacency in memory,
 //! recording rounds, wall time, edge throughput, and the process's peak
@@ -39,7 +37,6 @@ use radio_broadcast::centralized::{build_eg_schedule, CentralizedParams};
 use radio_broadcast::distributed::{Decay, EgDistributed};
 use radio_graph::gnp::sample_gnp;
 use radio_graph::{AlignedWords, GraphProvider, ImplicitGnp, NodeId, TileLayout, Xoshiro256pp};
-use radio_sim::batch::{execute_lane_round, LaneScratch};
 use radio_sim::wide::{sweep_rows, TiledTable};
 use radio_sim::{
     run_schedule, run_schedule_observed, BroadcastState, EngineKernel, Json, KernelUsed,
@@ -192,89 +189,14 @@ impl Experiment for Summary {
             report.push(point);
         }
 
-        // ---- 1c. lane-batched trial kernel ------------------------------------
-        // Same regime as 1b, but 64 independent trials share one adjacency
-        // sweep (`radio_sim::batch`): per-lane transmit sets drawn i.i.d. at
-        // the 1/d fraction over the same informed half.  `elems` counts
-        // transmitters summed over all lanes, so elems/s is trial throughput,
-        // directly comparable with the scalar per-round points above.
-        let lanes = radio_sim::MAX_LANES;
-        outln!(
-            ctx,
-            "\n## 1c. Lane-batched trial kernel (n = {nk}, d = {dk}, {lanes} lanes)\n"
-        );
-        let mut hb = Harness::new("batch");
-        hb.sample_size(args.scale(10, 20, 40)).quiet(true);
-        let mut rng = Xoshiro256pp::new(point_seed(args.seed, "sum/batch"));
-        let mut t = vec![0u64; nk];
-        let mut tx_nodes: Vec<NodeId> = Vec::new();
-        let mut lane_tx: Vec<Vec<NodeId>> = vec![Vec::new(); lanes];
-        let mut total_tx = 0u64;
-        for (v, word) in t.iter_mut().enumerate().take(nk / 2) {
-            let mut w = 0u64;
-            for (l, tx) in lane_tx.iter_mut().enumerate() {
-                if rng.next_f64() < 1.0 / dk {
-                    w |= 1 << l;
-                    tx.push(v as NodeId);
-                }
-            }
-            if w != 0 {
-                *word = w;
-                tx_nodes.push(v as NodeId);
-                total_tx += u64::from(w.count_ones());
-            }
-        }
-        let informed0: Vec<u64> = (0..nk)
-            .map(|v| if v < nk / 2 { u64::MAX } else { 0 })
-            .collect();
-        let mut scratch = LaneScratch::new(nk);
-        hb.bench_with_throughput("lane_round_64x_frac_1_over_d", Some(total_tx), || {
-            let mut inf = informed0.clone();
-            execute_lane_round(
-                &gk,
-                &mut scratch,
-                &t,
-                &tx_nodes,
-                &mut inf,
-                false,
-                |_, _, _, e1| e1,
-            );
-            black_box(inf[nk - 1])
-        });
-        // The same 64 per-lane transmitter sets executed one-by-one through the
-        // scalar sparse kernel — the apples-to-apples baseline for the point
-        // above (identical work, identical `elems`).
-        let mut eng = RoundEngine::new(&gk).with_kernel(EngineKernel::Sparse);
-        hb.bench_with_throughput("scalar_rounds_64x_frac_1_over_d", Some(total_tx), || {
-            let mut newly = 0usize;
-            for tx in &lane_tx {
-                let mut st = state_k.clone();
-                newly += eng.execute_round(&mut st, tx, 1).newly_informed;
-            }
-            black_box(newly)
-        });
-        for stats in hb.results() {
-            outln!(ctx, "{}", hb.render_line(stats));
-            let mut point = stats.to_point();
-            let batched = point.label.contains("lane_round");
-            point.label = format!("batch/{}", point.label);
-            if batched {
-                point = point
-                    .field("kernel", Json::from("batch"))
-                    .field("batch_lanes", Json::from(lanes));
-            } else {
-                point = point.field("kernel", Json::from("sparse"));
-            }
-            report.push(point);
-        }
-
         // ---- 1d. tiled many-lane kernel ---------------------------------------
         // Same regime once more, but 1024 lanes share one adjacency sweep
         // through the gather/compress row sweep (`radio_sim::wide::sweep_rows`)
-        // — the merge+resolve core of the tiled runner, measured raw with the
+        // — the merge+resolve core of the tiled engine, measured raw with the
         // trivial exactly-one resolve so the point isolates kernel throughput.
-        // `elems` again counts transmitters summed over all lanes, so elems/s
-        // is directly comparable with the 64-lane batch point above.
+        // `elems` counts transmitters summed over all lanes, so elems/s is
+        // trial throughput, directly comparable with the scalar per-round
+        // points of 1b.
         let lanes_t = radio_sim::MAX_TILED_LANES;
         outln!(
             ctx,
@@ -321,7 +243,7 @@ impl Experiment for Summary {
             full_pattern: &full,
         };
         // Informed half = full rows (the sweep skips them via full_bits),
-        // uninformed half = zero, mirroring the 1c informed planes.  The
+        // uninformed half = zero, mirroring the 1b informed state.  The
         // sweep never writes a full row, so the per-iteration reset only
         // has to re-zero the uninformed half of the plane.
         let mut inf_t = AlignedWords::zeroed(layout.plane_words(nk));
@@ -355,14 +277,12 @@ impl Experiment for Summary {
                 .field("batch_lanes", Json::from(lanes_t));
             report.push(point);
         }
-        // Composition point: the full tiled runner (lane batching × tiled
+        // Composition point: the full tiled engine (lane batching × tiled
         // kernel × intra-round worker pool) end-to-end on the same graph,
-        // entered through the batch API with the kernel forced — the exact
-        // path `--batch L --kernel tiled` takes.  One run, wall-clock, with
-        // the machine-picked worker count recorded alongside.
-        let cfg_t = RunConfig::for_graph(nk)
-            .with_trace(TraceLevel::SummaryOnly)
-            .with_kernel(EngineKernel::Tiled);
+        // as the planner picks it for any multi-lane explicit run — the
+        // exact path `--batch L` takes.  One run, wall-clock, with the
+        // machine-picked worker count recorded alongside.
+        let cfg_t = RunConfig::for_graph(nk).with_trace(TraceLevel::SummaryOnly);
         let mut proto_t = EgDistributed::new(dk / nk as f64);
         let lane_seed = rng.next();
         let start = std::time::Instant::now();

@@ -201,8 +201,10 @@ fn backoff_epochs_for(spec: &str, n: usize, rounds: u32) -> Option<Vec<u32>> {
 /// format.
 ///
 /// `--batch L` switches each trial to a lane-batched plan (a multi-lane
-/// [`RunSpec`]): one graph sample carries `L ≤ 64` independent protocol
-/// runs resolved in shared adjacency sweeps.  JSON reports then carry one
+/// [`RunSpec`]): one graph sample carries `L` independent protocol runs
+/// resolved in shared adjacency sweeps — up to 1024 on the explicit
+/// backend (the tiled engine), up to 64 on provider backends.  `--kernel`
+/// steers only scalar explicit runs.  JSON reports then carry one
 /// entry per lane (tagged `batch_lanes`), and JSONL trace lines gain a
 /// `lane` field.
 ///
@@ -307,22 +309,18 @@ pub fn run(args: &Args) -> CmdResult {
             let lanes: usize = raw
                 .parse()
                 .map_err(|_| ParseError("--batch: bad integer".into()))?;
-            // The tiled kernel widens rows to 16 words, so it lifts the
-            // lane ceiling from one machine word to a full tile; provider
-            // backends lane-batch through the sweep engine, whose ceiling
-            // is one machine word regardless of kernel flags.
-            let cap = if backend == Backend::Explicit && cfg.kernel == EngineKernel::Tiled {
+            // Explicit runs batch on the tiled engine, whose rows hold a
+            // full tile of lanes; provider backends lane-batch through the
+            // sweep engine, whose ceiling is one machine word.
+            let cap = if backend == Backend::Explicit {
                 MAX_TILED_LANES
             } else {
                 MAX_LANES
             };
             if !(1..=cap).contains(&lanes) {
-                let hint = if backend == Backend::Explicit {
-                    format!(" (up to {MAX_TILED_LANES} with --kernel tiled)")
-                } else {
-                    format!(" on --backend {backend}")
-                };
-                return Err(ParseError(format!("--batch must be in 1..={cap}{hint}")));
+                return Err(ParseError(format!(
+                    "--batch must be in 1..={cap} on --backend {backend}"
+                )));
             }
             Some(lanes)
         }
@@ -489,8 +487,8 @@ pub fn run(args: &Args) -> CmdResult {
             }
             let outcome = match batch {
                 // Lane-batched provider trials: every lane rides one
-                // regenerated edge stream, seeded exactly like the explicit
-                // batch runner.
+                // regenerated edge stream, seeded exactly like explicit
+                // batched trials.
                 Some(lanes) => {
                     let lane_seed = rng.next();
                     rspec
@@ -966,26 +964,37 @@ mod tests {
 
     #[test]
     fn run_command_kernel_selection() {
-        for kernel in ["auto", "sparse", "dense", "tiled"] {
+        for kernel in ["auto", "sparse", "dense"] {
             let args = argv(&format!(
                 "run --n 300 --d 20 --protocol eg --trials 1 --seed 3 --kernel {kernel}"
             ));
             run(&args).unwrap();
         }
-        let bad = argv("run --n 300 --d 20 --trials 1 --kernel turbo");
-        let err = run(&bad).unwrap_err();
-        assert!(err.0.contains("unknown kernel"), "{err}");
+        // `tiled` is an engine the planner picks for every batched run,
+        // not a kernel choice.
+        for bad in ["turbo", "tiled"] {
+            let args = argv(&format!("run --n 300 --d 20 --trials 1 --kernel {bad}"));
+            let err = run(&args).unwrap_err();
+            assert!(err.0.contains("unknown kernel"), "{bad}: {err}");
+        }
     }
 
     #[test]
     fn run_command_batch_lane_caps() {
-        // The scalar-word batch engine stops at 64 lanes; forcing the
-        // tiled kernel lifts the cap to a full tile.
-        let bad = argv("run --n 300 --d 20 --trials 1 --seed 3 --batch 100");
-        assert!(run(&bad).unwrap_err().0.contains("--batch"));
-        let ok =
-            argv("run --n 300 --d 20 --protocol eg --trials 1 --seed 3 --kernel tiled --batch 100");
-        run(&ok).unwrap();
+        // Explicit runs batch up to a full tile of lanes, whatever the
+        // kernel flag; provider backends stop at one machine word.
+        for ok in ["--batch 100", "--batch 1024", "--batch 100 --kernel dense"] {
+            let args = argv(&format!(
+                "run --n 300 --d 20 --protocol eg --trials 1 --seed 3 {ok}"
+            ));
+            run(&args).unwrap();
+        }
+        let bad = argv("run --n 300 --d 20 --trials 1 --seed 3 --batch 1025");
+        let err = run(&bad).unwrap_err();
+        assert!(err.0.contains("--batch must be in 1..=1024"), "{err}");
+        let bad = argv("run --n 300 --d 20 --trials 1 --seed 3 --backend implicit --batch 65");
+        let err = run(&bad).unwrap_err();
+        assert!(err.0.contains("--batch must be in 1..=64"), "{err}");
     }
 
     #[test]
@@ -1052,7 +1061,7 @@ mod tests {
         let lossy =
             argv("run --n 200 --d 15 --protocol decay --trials 1 --seed 5 --batch 64 --loss 0.2");
         run(&lossy).unwrap();
-        for bad in ["0", "65", "lots"] {
+        for bad in ["0", "1025", "lots"] {
             let args = argv(&format!("run --n 100 --d 10 --trials 1 --batch {bad}"));
             assert!(run(&args).is_err(), "--batch {bad} should be rejected");
         }

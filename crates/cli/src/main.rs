@@ -72,10 +72,11 @@ subcommands:
   run        run a distributed protocol          [graph] [--protocol eg|eg-strict|decay|flooding|round-robin|unknown|constant:Q]
                                                  [--source V] [--trials K] [--loss F] [--max-rounds R] [--seed S]
                                                  [--format text|json] [--trace-out FILE.jsonl]
-                                                 [--kernel auto|sparse|dense|tiled] [--batch L]
+                                                 [--kernel auto|sparse|dense] [--batch L]
                                                  [--backend auto|explicit|implicit|sharded]
-             (--batch L runs L ≤ 64 lane-batched trials per graph sample,
-              L ≤ 1024 with the multithreaded --kernel tiled;
+             (--batch L runs L ≤ 1024 lane-batched trials per graph sample
+              on the multithreaded tiled engine, L ≤ 64 on provider backends;
+              --kernel picks the scalar round kernel of unbatched runs;
               --backend implicit regenerates G(n, p) from the seed with no
               adjacency in memory, sharded splits rows across RADIO_THREADS,
               auto picks implicit when adjacency would blow the bitmap cap)

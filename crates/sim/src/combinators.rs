@@ -99,10 +99,10 @@ impl<P: Protocol> Protocol for Named<P> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::protocol::{run_protocol, RunConfig};
+    use crate::exec::RunSpec;
+    use crate::protocol::RunConfig;
     use radio_graph::Graph;
 
     /// Always transmit.
@@ -137,7 +137,10 @@ mod tests {
         let mut proto = Staged::new(Always, 3, Never);
         let mut rng = Xoshiro256pp::new(1);
         let cfg = RunConfig::for_graph(10).with_max_rounds(30);
-        let r = run_protocol(&g, 0, &mut proto, cfg, &mut rng);
+        let r = RunSpec::on_graph(&g, 0)
+            .with_config(cfg)
+            .run_with_rng(&mut proto, &mut rng)
+            .into_single();
         assert!(!r.completed);
         assert_eq!(r.informed, 4);
     }
@@ -157,7 +160,10 @@ mod tests {
         let g = Graph::path(6);
         let mut proto = Staged::new(Never, 2, AssertRound);
         let mut rng = Xoshiro256pp::new(2);
-        let r = run_protocol(&g, 0, &mut proto, RunConfig::for_graph(6), &mut rng);
+        let r = RunSpec::on_graph(&g, 0)
+            .with_config(RunConfig::for_graph(6))
+            .run_with_rng(&mut proto, &mut rng)
+            .into_single();
         assert!(r.completed);
         // 2 silent rounds + 5 flood rounds.
         assert_eq!(r.rounds, 7);
@@ -169,7 +175,10 @@ mod tests {
         assert_eq!(a.name(), "custom");
         let g = Graph::path(4);
         let mut rng = Xoshiro256pp::new(3);
-        let r = run_protocol(&g, 0, &mut a, RunConfig::for_graph(4), &mut rng);
+        let r = RunSpec::on_graph(&g, 0)
+            .with_config(RunConfig::for_graph(4))
+            .run_with_rng(&mut a, &mut rng)
+            .into_single();
         assert!(r.completed);
         assert_eq!(r.rounds, 3);
     }

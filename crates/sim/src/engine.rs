@@ -76,7 +76,6 @@ pub struct RoundEngine<'g> {
     dense: DenseState,
     sparse_rounds: u64,
     dense_rounds: u64,
-    tiled_rounds: u64,
 }
 
 impl<'g> RoundEngine<'g> {
@@ -100,7 +99,6 @@ impl<'g> RoundEngine<'g> {
             dense: DenseState::new(),
             sparse_rounds: 0,
             dense_rounds: 0,
-            tiled_rounds: 0,
         }
     }
 
@@ -126,25 +124,16 @@ impl<'g> RoundEngine<'g> {
     /// Which kernel(s) executed the rounds so far (`Sparse` before any
     /// round has run).
     pub fn kernel_used(&self) -> KernelUsed {
-        match (
-            self.sparse_rounds > 0,
-            self.dense_rounds > 0,
-            self.tiled_rounds > 0,
-        ) {
-            (false, true, false) => KernelUsed::Dense,
-            (false, false, true) => KernelUsed::Tiled,
-            (false, false, false) | (true, false, false) => KernelUsed::Sparse,
-            _ => KernelUsed::Mixed,
+        match (self.sparse_rounds > 0, self.dense_rounds > 0) {
+            (false, true) => KernelUsed::Dense,
+            (true, true) => KernelUsed::Mixed,
+            _ => KernelUsed::Sparse,
         }
     }
 
-    /// Rounds executed by each kernel so far, `(sparse, dense, tiled)`.
-    ///
-    /// On this scalar engine a "tiled" round executes on the dense
-    /// bit-parallel path (a single lane needs no lane tiling) but is
-    /// counted under the requested kernel.
-    pub fn rounds_by_kernel(&self) -> (u64, u64, u64) {
-        (self.sparse_rounds, self.dense_rounds, self.tiled_rounds)
+    /// Rounds executed by each kernel so far, `(sparse, dense)`.
+    pub fn rounds_by_kernel(&self) -> (u64, u64) {
+        (self.sparse_rounds, self.dense_rounds)
     }
 
     /// The adjacency-bitmap memory cap in bytes (default
@@ -263,10 +252,7 @@ impl<'g> RoundEngine<'g> {
 
         let use_dense = match self.kernel {
             EngineKernel::Sparse => false,
-            // A single scalar lane needs no lane tiling: a `Tiled`
-            // request runs the dense bit-parallel path here (counted as
-            // tiled), exactly as `Dense` would.
-            EngineKernel::Dense | EngineKernel::Tiled => self.dense.ensure_ready(self.graph),
+            EngineKernel::Dense => self.dense.ensure_ready(self.graph),
             EngineKernel::Auto => {
                 let words = self.graph.n().div_ceil(64) as u64;
                 let sum_deg: u64 = active
@@ -281,17 +267,13 @@ impl<'g> RoundEngine<'g> {
         };
 
         // Burst veto first, without a coin: the loss coin is only drawn for
-        // receptions the burst channel lets through (the lane-batched
-        // kernel replays exactly this order).
+        // receptions the burst channel lets through (the multi-lane
+        // engines replay exactly this order).
         let mut deliver =
             |w: NodeId| !session.burst_bad(w) && (loss_prob <= 0.0 || !rng.coin(loss_prob));
 
         let outcome = if use_dense {
-            if self.kernel == EngineKernel::Tiled {
-                self.tiled_rounds += 1;
-            } else {
-                self.dense_rounds += 1;
-            }
+            self.dense_rounds += 1;
             self.dense.execute_faulty(
                 state,
                 &active,
@@ -353,9 +335,7 @@ impl<'g> RoundEngine<'g> {
 
         let use_dense = match self.kernel {
             EngineKernel::Sparse => false,
-            // See `execute_round_faulty`: `Tiled` runs the dense path
-            // on this scalar engine, counted separately.
-            EngineKernel::Dense | EngineKernel::Tiled => self.dense.ensure_ready(self.graph),
+            EngineKernel::Dense => self.dense.ensure_ready(self.graph),
             EngineKernel::Auto => {
                 let words = self.graph.n().div_ceil(64) as u64;
                 let sum_deg: u64 = active.iter().map(|&t| self.graph.degree(t) as u64).sum();
@@ -366,11 +346,7 @@ impl<'g> RoundEngine<'g> {
         };
 
         let outcome = if use_dense {
-            if self.kernel == EngineKernel::Tiled {
-                self.tiled_rounds += 1;
-            } else {
-                self.dense_rounds += 1;
-            }
+            self.dense_rounds += 1;
             self.dense
                 .execute(state, &active, &self.is_transmitter, round, deliver)
         } else {
@@ -666,11 +642,7 @@ mod tests {
         use radio_graph::{gnp::sample_gnp, Xoshiro256pp};
         let g = sample_gnp(300, 0.1, &mut Xoshiro256pp::new(11));
         let mut states = Vec::new();
-        for kernel in [
-            EngineKernel::Sparse,
-            EngineKernel::Dense,
-            EngineKernel::Tiled,
-        ] {
+        for kernel in [EngineKernel::Sparse, EngineKernel::Dense] {
             let mut eng = RoundEngine::new(&g).with_kernel(kernel);
             let mut st = BroadcastState::new(300, 0);
             let mut sched_rng = Xoshiro256pp::new(99);
@@ -692,11 +664,7 @@ mod tests {
         use radio_graph::{gnp::sample_gnp, Xoshiro256pp};
         let g = sample_gnp(256, 0.15, &mut Xoshiro256pp::new(21));
         let mut finals = Vec::new();
-        for kernel in [
-            EngineKernel::Sparse,
-            EngineKernel::Dense,
-            EngineKernel::Tiled,
-        ] {
+        for kernel in [EngineKernel::Sparse, EngineKernel::Dense] {
             let mut eng = RoundEngine::new(&g).with_kernel(kernel);
             let mut st = BroadcastState::new(256, 0);
             let mut loss_rng = Xoshiro256pp::new(7);
@@ -741,11 +709,7 @@ mod tests {
             .jam(40, 3, 20)
             .set_burst(0.3, 0.25);
         let mut finals = Vec::new();
-        for kernel in [
-            EngineKernel::Sparse,
-            EngineKernel::Dense,
-            EngineKernel::Tiled,
-        ] {
+        for kernel in [EngineKernel::Sparse, EngineKernel::Dense] {
             let mut eng = RoundEngine::new(&g).with_kernel(kernel);
             let mut st = BroadcastState::new(256, 0);
             let mut rng = Xoshiro256pp::new(7);
@@ -783,11 +747,7 @@ mod tests {
         let g = Graph::star(6);
         let mut plan = FaultPlan::new(6);
         plan.crash(2, 1).sleep(3, 3).jam(1, 1, u32::MAX);
-        for kernel in [
-            EngineKernel::Sparse,
-            EngineKernel::Dense,
-            EngineKernel::Tiled,
-        ] {
+        for kernel in [EngineKernel::Sparse, EngineKernel::Dense] {
             let mut eng = RoundEngine::new(&g).with_kernel(kernel);
             let mut st = BroadcastState::new(6, 0);
             let mut rng = Xoshiro256pp::new(1);
@@ -821,25 +781,11 @@ mod tests {
         let mut eng = RoundEngine::new(&g).with_kernel(EngineKernel::Sparse);
         assert_eq!(eng.kernel_used(), KernelUsed::Sparse);
         eng.execute_round(&mut st, &[0], 1);
-        assert_eq!(eng.rounds_by_kernel(), (1, 0, 0));
+        assert_eq!(eng.rounds_by_kernel(), (1, 0));
         eng.set_kernel(EngineKernel::Dense);
         eng.execute_round(&mut st, &[1], 2);
-        assert_eq!(eng.rounds_by_kernel(), (1, 1, 0));
+        assert_eq!(eng.rounds_by_kernel(), (1, 1));
         assert_eq!(eng.kernel_used(), KernelUsed::Mixed);
         assert_eq!(eng.kernel(), EngineKernel::Dense);
-        eng.set_kernel(EngineKernel::Tiled);
-        eng.execute_round(&mut st, &[2], 3);
-        assert_eq!(eng.rounds_by_kernel(), (1, 1, 1));
-        assert_eq!(eng.kernel_used(), KernelUsed::Mixed);
-    }
-
-    #[test]
-    fn tiled_requests_count_as_tiled_rounds() {
-        let g = Graph::star(80);
-        let mut st = BroadcastState::new(80, 0);
-        let mut eng = RoundEngine::new(&g).with_kernel(EngineKernel::Tiled);
-        eng.execute_round(&mut st, &[0], 1);
-        assert_eq!(eng.rounds_by_kernel(), (0, 0, 1));
-        assert_eq!(eng.kernel_used(), KernelUsed::Tiled);
     }
 }

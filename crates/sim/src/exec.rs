@@ -1,12 +1,9 @@
 //! The execution planner: one front door for every way to run a protocol.
 //!
-//! Historically each execution style had its own public entry point —
-//! scalar, multi-source, observed, faulty, lane-batched, tiled, and the
-//! provider sweeps — fourteen `run_protocol_*` functions whose dispatch
-//! rules lived in their call sites.  [`RunSpec`] collapses them into one
-//! builder: describe the run (graph source, start state, lanes, kernel
-//! preference, faults, loss, master seed, worker threads), let the
-//! planner pick the engine, and execute.
+//! [`RunSpec`] is the only way to execute a [`Protocol`]: describe the run
+//! (graph source, start state, lanes, kernel preference, faults, loss,
+//! master seed, worker threads), let the planner pick the engine, and
+//! execute.
 //!
 //! ```
 //! use radio_graph::{Graph, Xoshiro256pp, NodeId};
@@ -31,8 +28,8 @@
 //!
 //! ## The planner is a pure function
 //!
-//! [`RunSpec::plan`] depends **only** on the spec's own fields — node
-//! count, lane count, kernel preference, backend shape, shard count —
+//! [`RunSpec::plan`] depends **only** on the spec's own fields — lane
+//! count, kernel preference, backend shape, shard count —
 //! never on the environment or the hardware.  (`RADIO_THREADS` affects
 //! the *worker count* of the engines that parallelize, at execution
 //! time, but never the engine decision or any result bit.)  Calling
@@ -44,15 +41,15 @@
 //! | graph source | lanes | planned engine |
 //! |---|---|---|
 //! | explicit CSR (or provider with explicit adjacency, ≤ 1 shard) | 1 | [`PlannedEngine::Round`] with the spec's [`EngineKernel`] |
-//! | explicit CSR | 2..=64, small jobs | [`PlannedEngine::Batch`] |
-//! | explicit CSR | forced [`EngineKernel::Tiled`], > 64 lanes, or past the [`tiled_is_cheaper`] break-even | [`PlannedEngine::Tiled`] |
+//! | explicit CSR (or provider with explicit adjacency, ≤ 1 shard) | 2..=1024 | [`PlannedEngine::Tiled`] |
 //! | provider (implicit, or explicit with > 1 shard) | 1 | [`PlannedEngine::Sweep`] |
 //! | provider (implicit, or explicit with > 1 shard) | 2..=64 | [`PlannedEngine::LaneSweep`] |
 //!
-//! Provider backends cap lanes at [`MAX_LANES`]: the lane planes are
-//! `u64` words regenerated per edge stream, so wider batches would need
-//! a second plane word per node — the tiled kernel's job, which needs
-//! stored adjacency.
+//! The kernel preference only steers the scalar round engine; the lane
+//! engines ignore it.  Provider backends cap lanes at [`MAX_LANES`]: the
+//! lane planes are `u64` words regenerated per edge stream, so wider
+//! batches would need a second plane word per node — the tiled engine's
+//! job, which needs stored adjacency.
 //!
 //! ## Determinism contract
 //!
@@ -65,11 +62,12 @@
 
 use radio_graph::{child_rng, Graph, GraphProvider, NodeId, Xoshiro256pp};
 
-use crate::batch::{run_batch_core, MAX_LANES};
 use crate::fault::FaultPlan;
-use crate::kernel::{tiled_is_cheaper, EngineKernel};
+use crate::kernel::EngineKernel;
 use crate::observer::{NoopObserver, RunObserver};
-use crate::protocol::{scalar_faulty_observed_core, scalar_observed_core, Protocol, RunConfig};
+use crate::protocol::{
+    scalar_faulty_observed_core, scalar_observed_core, Protocol, RunConfig, MAX_LANES,
+};
 use crate::state::BroadcastState;
 use crate::sweep::{run_sweep_faulty_core, run_sweep_lanes_core, run_sweep_scalar_core, Backend};
 use crate::tiled::{run_tiled_core, MAX_TILED_LANES};
@@ -123,11 +121,8 @@ pub enum PlannedEngine {
     /// Scalar [`RoundEngine`](crate::engine::RoundEngine) with the given
     /// kernel preference.
     Round(EngineKernel),
-    /// Lane-batched explicit kernel, up to 64 trials per sweep
-    /// ([`crate::batch`]).
-    Batch,
-    /// Tiled SIMD + multithreaded kernel, up to 1024 trials per sweep
-    /// ([`crate::tiled`]).
+    /// Tiled SIMD + multithreaded lane engine, 2 to 1024 trials per
+    /// sweep ([`crate::tiled`]).
     Tiled,
     /// Scalar provider-driven edge sweep ([`crate::sweep`]).
     Sweep,
@@ -141,7 +136,6 @@ impl PlannedEngine {
     pub fn as_str(self) -> &'static str {
         match self {
             PlannedEngine::Round(_) => "round",
-            PlannedEngine::Batch => "batch",
             PlannedEngine::Tiled => "tiled",
             PlannedEngine::Sweep => "sweep",
             PlannedEngine::LaneSweep => "lane-sweep",
@@ -290,15 +284,22 @@ impl<'a> RunSpec<'a> {
 
     /// Sets the trial-lane count (default 1).
     ///
-    /// Explicit CSR sources batch up to [`MAX_TILED_LANES`] lanes (the
-    /// planner widens to the tiled engine past [`MAX_LANES`]); provider
-    /// backends cap at [`MAX_LANES`].
+    /// Explicit CSR sources batch up to [`MAX_TILED_LANES`] lanes on the
+    /// tiled engine; provider backends cap at [`MAX_LANES`].
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes;
         self
     }
 
     /// Runs every lane under the fault plan `plan`.
+    ///
+    /// Crashed and sleeping nodes neither transmit nor receive; jammers
+    /// force collisions on their neighborhoods; a node whose
+    /// Gilbert–Elliott channel is in the bad state loses every reception
+    /// that round.  Independent per-reception loss composes on top.  Each
+    /// result carries its fault events in [`RunResult::fault_events`] and
+    /// a [`crate::FaultSummary`] (coverage of the *live reachable*
+    /// subgraph) in [`RunResult::faults`]; see `docs/ROBUSTNESS.md`.
     pub fn with_faults(mut self, plan: &'a FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -355,25 +356,15 @@ impl<'a> RunSpec<'a> {
     pub fn plan(&self) -> Plan {
         let lanes = self.lanes;
         assert!(lanes >= 1, "lanes must be >= 1, got {lanes}");
-        let explicit_plan = |n: usize| -> Plan {
+        let explicit_plan = || -> Plan {
             assert!(
                 lanes <= MAX_TILED_LANES,
                 "explicit engines support at most {MAX_TILED_LANES} lanes, got {lanes}"
             );
             let engine = if lanes == 1 {
                 PlannedEngine::Round(self.config.kernel)
-            } else if self.config.kernel == EngineKernel::Tiled
-                || lanes > MAX_LANES
-                || tiled_is_cheaper(n, lanes)
-            {
-                // Cost-model dispatch: under the break-even the tiled
-                // sweep's per-round fixed costs (compact-table build +
-                // full row scan) beat its bandwidth advantage, so
-                // batch-sized jobs run on the batch kernel unless the
-                // caller forces Tiled.
-                PlannedEngine::Tiled
             } else {
-                PlannedEngine::Batch
+                PlannedEngine::Tiled
             };
             Plan {
                 backend: Backend::Explicit,
@@ -384,13 +375,13 @@ impl<'a> RunSpec<'a> {
             }
         };
         match &self.graph {
-            GraphSource::Csr(g) => explicit_plan(g.n()),
+            GraphSource::Csr(_) => explicit_plan(),
             GraphSource::Provider { provider, shards } => {
                 let explicit = provider.as_explicit().is_some();
                 if *shards <= 1 && explicit {
                     // Single-shard explicit providers take the classic
                     // engines (the historical fast path).
-                    explicit_plan(provider.n())
+                    explicit_plan()
                 } else {
                     assert!(
                         lanes <= MAX_LANES,
@@ -429,18 +420,6 @@ impl<'a> RunSpec<'a> {
             PlannedEngine::Sweep => {
                 let mut rng = child_rng(self.master_seed, 0);
                 vec![self.exec_sweep(&plan, protocol, &mut rng)]
-            }
-            PlannedEngine::Batch => {
-                let (graph, source) = self.explicit_graph();
-                run_batch_core(
-                    graph,
-                    source,
-                    protocol,
-                    self.config,
-                    self.fault_plan,
-                    self.master_seed,
-                    plan.lanes,
-                )
             }
             PlannedEngine::Tiled => {
                 let (graph, source) = self.explicit_graph();
@@ -625,21 +604,18 @@ mod tests {
             assert_eq!(spec.plan().engine, PlannedEngine::Round(kernel));
             assert_eq!(spec.plan().backend, Backend::Explicit);
         }
-        // Small multi-lane explicit → batch.
-        let spec = RunSpec::on_graph(&g, 0).with_lanes(16);
-        assert_eq!(spec.plan().engine, PlannedEngine::Batch);
-        // Forced tiled kernel → tiled, even for batch-sized jobs.
-        let spec = RunSpec::on_graph(&g, 0)
-            .with_lanes(16)
-            .with_config(RunConfig::for_graph(512).with_kernel(EngineKernel::Tiled));
-        assert_eq!(spec.plan().engine, PlannedEngine::Tiled);
-        // More than 64 lanes → tiled.
-        let spec = RunSpec::on_graph(&g, 0).with_lanes(65);
-        assert_eq!(spec.plan().engine, PlannedEngine::Tiled);
-        // Past the break-even (rows × lanes ≥ 2^19) → tiled.
+        // Every multi-lane explicit run → tiled, whatever the kernel
+        // preference and the graph size.
+        for lanes in [2, 16, MAX_LANES, 65, MAX_TILED_LANES] {
+            for kernel in [EngineKernel::Auto, EngineKernel::Dense] {
+                let spec = RunSpec::on_graph(&g, 0)
+                    .with_lanes(lanes)
+                    .with_config(RunConfig::for_graph(512).with_kernel(kernel));
+                assert_eq!(spec.plan().engine, PlannedEngine::Tiled, "{lanes} lanes");
+            }
+        }
         let big = Graph::empty(1 << 14);
         let spec = RunSpec::on_graph(&big, 0).with_lanes(MAX_LANES);
-        assert!(tiled_is_cheaper(big.n(), MAX_LANES));
         assert_eq!(spec.plan().engine, PlannedEngine::Tiled);
         // Implicit provider → sweep engines, lane-batched past one lane.
         let imp = ImplicitGnp::new(512, 0.03, 1);
@@ -674,7 +650,6 @@ mod tests {
                 EngineKernel::Auto,
                 EngineKernel::Sparse,
                 EngineKernel::Dense,
-                EngineKernel::Tiled,
             ] {
                 let cfg = RunConfig::for_graph(4096).with_kernel(kernel);
                 let spec = RunSpec::on_graph(&g, 0).with_config(cfg).with_lanes(lanes);
@@ -683,14 +658,14 @@ mod tests {
                     assert_eq!(first, spec.plan(), "lanes={lanes} kernel={kernel:?}");
                 }
                 assert_eq!(first.threads, None, "no env/hardware leakage");
-                // The decision depends only on (n, lanes, kernel): an
+                // The decision depends only on (lanes, kernel): an
                 // identical spec built from scratch plans identically.
                 let rebuilt = RunSpec::on_graph(&g, 3)
                     .with_config(cfg)
                     .with_lanes(lanes)
                     .with_master_seed(999);
                 assert_eq!(first.engine, rebuilt.plan().engine);
-                if lanes <= MAX_LANES && kernel != EngineKernel::Tiled {
+                if lanes <= MAX_LANES {
                     for shards in [1usize, 2, 8] {
                         let pspec = RunSpec::on_provider(&imp, shards, 0)
                             .with_config(RunConfig::for_graph(4096))
@@ -716,7 +691,7 @@ mod tests {
     }
 
     /// `run()` on a scalar plan equals the round engine on
-    /// `child_rng(master, 0)` — the same lane-0 contract as the batch
+    /// `child_rng(master, 0)` — the same lane-0 contract as the lane
     /// engines.
     #[test]
     fn scalar_run_is_lane_zero() {
@@ -742,8 +717,8 @@ mod tests {
         assert_eq!(outcome.into_single(), want);
     }
 
-    /// The batch plan's lanes each match the scalar engine on their
-    /// child stream.
+    /// A batched (multi-lane) plan's lanes each match the scalar engine
+    /// on their child stream.
     #[test]
     fn batch_plan_lanes_match_scalar() {
         let g = ImplicitGnp::new(200, 0.04, 9).materialize();
@@ -753,7 +728,7 @@ mod tests {
             .with_lanes(8)
             .with_master_seed(7)
             .run(&mut HalfCoin);
-        assert_eq!(outcome.plan.engine, PlannedEngine::Batch);
+        assert_eq!(outcome.plan.engine, PlannedEngine::Tiled);
         assert_eq!(outcome.lanes.len(), 8);
         for (l, got) in outcome.lanes.iter().enumerate() {
             let mut rng = child_rng(7, l as u64);
@@ -765,7 +740,8 @@ mod tests {
                 &mut rng,
                 &mut NoopObserver,
             );
-            want.kernel = KernelUsed::Batch;
+            want.kernel = KernelUsed::Tiled;
+            want.threads = got.threads;
             assert_eq!(*got, want, "lane {l}");
         }
     }

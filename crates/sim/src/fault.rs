@@ -21,7 +21,7 @@
 //! or adversarial highest-degree) with a seeded RNG.  During a run a
 //! [`FaultSession`] resolves the plan round by round; all of its RNG draws
 //! (the burst-channel coins) happen in ascending node-id order, so sparse,
-//! dense, and lane-batched kernels replay faulty runs **bit-identically**
+//! dense, and multi-lane engines replay faulty runs **bit-identically**
 //! — the same contract the lossy path already obeys (see
 //! `docs/ROBUSTNESS.md`).
 //!
@@ -821,8 +821,8 @@ pub(crate) struct LaneFaultSession<'p> {
     blocked: BitSet,
     jammers: Vec<NodeId>,
     cursor: usize,
-    /// Lane groups of 64: 1 for the batch kernel, up to 16 for the
-    /// tiled kernel.
+    /// Lane groups of 64: 1 for the provider lane sweep, up to 16 for
+    /// the tiled engine.
     groups: usize,
     /// `burst_bad[v * groups + g]` bit `l` = lane `g·64 + l`'s channel
     /// at `v` is bad.
@@ -906,7 +906,7 @@ impl<'p> LaneFaultSession<'p> {
     }
 
     /// Lanes of group 0 whose burst channel at `v` is currently bad
-    /// (the single-group batch-kernel view).
+    /// (the single-group lane-sweep view).
     pub(crate) fn burst_word(&self, v: NodeId) -> u64 {
         self.burst_bad[v as usize * self.groups]
     }

@@ -12,7 +12,9 @@
 //! * [`Json::render`] / [`Json::render_pretty`] — compact and 2-space
 //!   indented writers;
 //! * [`Json::parse`] — a recursive-descent parser used by the round-trip
-//!   tests, the CLI, and any tool that wants to read reports back.
+//!   tests, the CLI, the `radio-node` stdin service, and any tool that
+//!   wants to read reports back.  Nesting is capped at [`MAX_DEPTH`] so
+//!   hostile input gets a [`JsonError`] instead of overflowing the stack.
 //!
 //! Numbers are split into [`Json::Int`] (exact `i64`) and [`Json::Num`]
 //! (`f64`); non-finite floats serialize as `null` since JSON has no
@@ -31,6 +33,12 @@
 //! let back = Json::parse(&text).unwrap();
 //! assert_eq!(back.get("rounds").and_then(Json::as_i64), Some(17));
 //! ```
+
+/// Deepest array/object nesting [`Json::parse`] accepts.  Every document
+/// this workspace writes nests a handful of levels; the cap bounds the
+/// parser's recursion (and the value tree's recursive drop) on untrusted
+/// input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value with insertion-ordered object fields.
 #[derive(Debug, Clone, PartialEq)]
@@ -255,11 +263,13 @@ impl Json {
         }
     }
 
-    /// Parses `text` as a single JSON document (trailing garbage rejected).
+    /// Parses `text` as a single JSON document (trailing garbage rejected,
+    /// nesting deeper than [`MAX_DEPTH`] rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -318,6 +328,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -362,8 +374,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -616,6 +639,24 @@ mod tests {
             let e = Json::parse(bad).unwrap_err();
             assert!(e.offset <= bad.len(), "offset in range for {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_limit = nested(MAX_DEPTH, open, close).replace(":}", ":null}");
+            assert!(Json::parse(&at_limit).is_ok(), "{open}: depth {MAX_DEPTH}");
+            let past = nested(MAX_DEPTH + 1, open, close).replace(":}", ":null}");
+            let e = Json::parse(&past).unwrap_err();
+            assert!(e.msg.contains("nesting deeper than"), "{e}");
+        }
+        // A hostile line far past the cap fails fast instead of overflowing
+        // the stack.
+        let e = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
     }
 
     #[test]

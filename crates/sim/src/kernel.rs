@@ -48,12 +48,6 @@ pub enum EngineKernel {
     /// The bit-parallel kernel whenever the adjacency bitmap fits the
     /// memory cap; falls back to sparse otherwise.
     Dense,
-    /// The tiled SIMD + multithreaded many-lane kernel
-    /// ([`crate::tiled::run_protocol_tiled`]).  On the scalar
-    /// [`crate::engine::RoundEngine`] it executes as the dense kernel
-    /// (one lane needs no lane tiling) but is counted separately so the
-    /// selection is visible in reports.
-    Tiled,
 }
 
 impl std::str::FromStr for EngineKernel {
@@ -63,9 +57,8 @@ impl std::str::FromStr for EngineKernel {
             "auto" => Ok(EngineKernel::Auto),
             "sparse" => Ok(EngineKernel::Sparse),
             "dense" => Ok(EngineKernel::Dense),
-            "tiled" => Ok(EngineKernel::Tiled),
             other => Err(format!(
-                "unknown kernel {other:?} (try auto, sparse, dense, tiled)"
+                "unknown kernel {other:?} (try auto, sparse, dense)"
             )),
         }
     }
@@ -82,18 +75,13 @@ pub enum KernelUsed {
     Dense,
     /// `Auto` switched kernels between rounds within the run.
     Mixed,
-    /// The run was one lane of a lane-batched execution
-    /// ([`crate::batch::run_protocol_batch`]), which resolves all trial
-    /// lanes with its own two-plane sweep rather than either per-run
-    /// kernel.
-    Batch,
     /// The run executed on the provider-driven forward-edge sweep
     /// ([`crate::sweep::SweepEngine`]) — the implicit/sharded backend path,
     /// which never materializes an adjacency.
     Sweep,
-    /// The run was one lane of the tiled SIMD + multithreaded kernel
-    /// ([`crate::tiled::run_protocol_tiled`]), which resolves up to
-    /// 1024 lanes per adjacency sweep across a scoped thread pool.
+    /// The run was one lane of the tiled SIMD + multithreaded lane engine
+    /// ([`crate::tiled`]), which resolves up to 1024 lanes per adjacency
+    /// sweep across a scoped thread pool.
     Tiled,
 }
 
@@ -104,7 +92,6 @@ impl KernelUsed {
             KernelUsed::Sparse => "sparse",
             KernelUsed::Dense => "dense",
             KernelUsed::Mixed => "mixed",
-            KernelUsed::Batch => "batch",
             KernelUsed::Sweep => "sweep",
             KernelUsed::Tiled => "tiled",
         }
@@ -140,26 +127,6 @@ pub const DENSE_FIXED_SWEEPS: u64 = 2;
 /// sparse one (`Σ deg(t)` random edge visits).
 pub fn dense_is_cheaper(sum_degrees: u64, transmitters: u64, words_per_row: u64) -> bool {
     SPARSE_EDGE_COST * sum_degrees > (transmitters + DENSE_FIXED_SWEEPS) * words_per_row
-}
-
-/// Break-even problem size (listener rows × Monte-Carlo lanes) above
-/// which the tiled kernel beats the 64-lane batch kernel.
-///
-/// Below this the batch kernel's scalar per-`[u64; 2]` merge wins on
-/// startup cost (no compact-table build, no padded planes); above it
-/// the tiled kernel's 512-bit merges and full-row skips dominate.
-/// Measured on the bench machine via `radio-bench run summary` (§1c/§1d
-/// points, n = 8192): the tiled kernel is ahead well before half a
-/// million elements even single-threaded.  See `docs/PERF.md`.
-pub const TILED_BREAK_EVEN_ELEMS: usize = 1 << 19;
-
-/// Whether the tiled kernel is predicted to beat the batch kernel for a
-/// run of `rows` listeners × `lanes` trial lanes.
-///
-/// More than 64 lanes is out of the batch kernel's reach entirely;
-/// otherwise the product must cross [`TILED_BREAK_EVEN_ELEMS`].
-pub fn tiled_is_cheaper(rows: usize, lanes: usize) -> bool {
-    lanes > 64 || rows.saturating_mul(lanes) >= TILED_BREAK_EVEN_ELEMS
 }
 
 /// Lazily built adjacency bitmap plus the dense kernel's scratch planes.
@@ -403,25 +370,14 @@ mod tests {
             "dense".parse::<EngineKernel>().unwrap(),
             EngineKernel::Dense
         );
-        assert_eq!(
-            "tiled".parse::<EngineKernel>().unwrap(),
-            EngineKernel::Tiled
-        );
-        let err = "fast".parse::<EngineKernel>().unwrap_err();
-        assert!(err.contains("tiled"), "error should list tiled: {err}");
+        for bad in ["fast", "tiled", "batch"] {
+            let err = bad.parse::<EngineKernel>().unwrap_err();
+            assert!(err.starts_with("unknown kernel"), "{bad}: {err}");
+            assert!(err.contains("dense"), "error should list kernels: {err}");
+        }
         assert_eq!(KernelUsed::Mixed.to_string(), "mixed");
         assert_eq!(KernelUsed::Tiled.to_string(), "tiled");
         assert_eq!(KernelUsed::default(), KernelUsed::Sparse);
-    }
-
-    #[test]
-    fn tiled_cost_model_break_even() {
-        // Anything past 64 lanes is out of the batch kernel's reach.
-        assert!(tiled_is_cheaper(16, 65));
-        // The pinned bench point (n = 8192, 64 lanes) crosses break-even.
-        assert!(tiled_is_cheaper(8192, 64));
-        // A small 64-lane run stays on the batch kernel.
-        assert!(!tiled_is_cheaper(256, 64));
     }
 
     #[test]

@@ -16,15 +16,23 @@
 //!   lanes, kernel preference, faults, loss, master seed) and the planner
 //!   picks the engine deterministically.
 //!
-//! [`run_trials`] fans independent Monte-Carlo trials over a scoped thread pool with
-//! deterministic per-trial seeds (worker count overridable via the
-//! `RADIO_THREADS` environment variable), and a multi-lane [`RunSpec`]
-//! packs up to 64 trials of the same graph into `u64` bit lanes resolved
-//! in a single adjacency sweep per round (see [`batch`]; up to 1024 lanes
-//! on the [`tiled`] kernel) — composing the two gives threads×64 effective
-//! trial parallelism.
+//! The planner has four engine arms ([`PlannedEngine`]):
 //!
-//! Rounds execute through one of two interchangeable kernels — the
+//! | graph source | lanes | engine |
+//! |---|---|---|
+//! | explicit CSR | 1 | `Round` — the scalar [`RoundEngine`] |
+//! | explicit CSR | 2..=1024 | `Tiled` — the [`tiled`] lane engine |
+//! | provider (implicit or sharded) | 1 | `Sweep` — the [`SweepEngine`] |
+//! | provider (implicit or sharded) | 2..=64 | `LaneSweep` — 64 lanes per regenerated edge stream |
+//!
+//! A multi-lane run packs independent trials of the same graph into bit
+//! lanes resolved in a single adjacency sweep per round, and lane `l` is
+//! bit-identical to the scalar run on `child_rng(master_seed, l)`.
+//! [`run_trials`] fans independent Monte-Carlo trials over a scoped thread
+//! pool with deterministic per-trial seeds (worker count overridable via
+//! the `RADIO_THREADS` environment variable).
+//!
+//! Scalar rounds execute through one of two interchangeable kernels — the
 //! CSR-walking sparse kernel or the bit-parallel dense kernel — selected by
 //! [`EngineKernel`] (default `Auto`; see [`kernel`] and `docs/PERF.md`).
 //! Kernel choice never changes results: traces replay byte-identically.
@@ -32,15 +40,13 @@
 //! Beyond explicit CSR graphs, [`RunSpec::on_provider`] executes any
 //! [`radio_graph::GraphProvider`] backend — in particular the seed-only
 //! implicit `G(n, p)` backend for `n = 10⁷`-scale runs and the sharded
-//! row-range sweep, both lane-batchable up to 64 trials per regenerated
-//! edge stream — with the same bit-identity guarantee (see [`sweep`]
-//! and `docs/ARCHITECTURE.md`).  The historical `run_protocol_*`
-//! entry points remain as deprecated shims over [`exec`] for one release.
+//! row-range sweep — with the same bit-identity guarantee (see [`sweep`]
+//! and `docs/ARCHITECTURE.md`).
 //!
 //! ## Telemetry
 //!
-//! Both runners have `*_observed` variants ([`run_schedule_observed`],
-//! [`run_protocol_observed`]) that stream per-round [`RoundEvent`]s into a
+//! Both runners have observed variants ([`run_schedule_observed`],
+//! [`RunSpec::run_observed`]) that stream per-round [`RoundEvent`]s into a
 //! [`RunObserver`].  The default [`NoopObserver`] is zero-cost (empty,
 //! monomorphized hooks); [`CollectingObserver`] captures the full event
 //! stream, optionally with per-round wall-clock.  The [`report`] module
@@ -72,7 +78,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod bitset;
 pub mod combinators;
 pub mod engine;
@@ -94,9 +99,6 @@ pub mod tiled;
 pub mod trace;
 pub mod wide;
 
-pub use batch::MAX_LANES;
-#[allow(deprecated)]
-pub use batch::{run_protocol_batch, run_protocol_batch_faulty};
 pub use combinators::{Named, Staged};
 pub use engine::{RoundEngine, RoundOutcome, TransmitterPolicy};
 pub use exec::{GraphSource, Plan, PlannedEngine, RunOutcome, RunSpec};
@@ -108,12 +110,7 @@ pub use json::Json;
 pub use kernel::{EngineKernel, KernelUsed};
 pub use metrics::RunMetrics;
 pub use observer::{CollectingObserver, NoopObserver, RoundEvent, RunObserver};
-#[allow(deprecated)]
-pub use protocol::{
-    run_protocol, run_protocol_faulty, run_protocol_faulty_observed, run_protocol_from,
-    run_protocol_multi, run_protocol_observed,
-};
-pub use protocol::{LocalNode, Protocol, RunConfig};
+pub use protocol::{LocalNode, Protocol, RunConfig, MAX_LANES};
 pub use report::RunReport;
 pub use runner::{parse_radio_threads, run_trials, run_trials_serial, thread_budget};
 pub use schedule::{
@@ -123,9 +120,5 @@ pub use schedule::{
 pub use schedule_io::{load_schedule, save_schedule};
 pub use state::BroadcastState;
 pub use sweep::{resolve_backend, Backend, SweepEngine};
-#[allow(deprecated)]
-pub use sweep::{run_protocol_provider, run_protocol_provider_faulty};
 pub use tiled::MAX_TILED_LANES;
-#[allow(deprecated)]
-pub use tiled::{run_protocol_tiled, run_protocol_tiled_faulty, run_protocol_tiled_with_threads};
 pub use trace::{RoundRecord, RunResult, TraceLevel};

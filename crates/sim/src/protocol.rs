@@ -10,19 +10,32 @@
 //! than a convention.
 //!
 //! [`crate::exec::RunSpec`] drives a protocol over a concrete graph with
-//! the exact collision semantics of [`RoundEngine`]; the historical
-//! `run_protocol*` entry points in this module are deprecated shims over
-//! it.
+//! the exact collision semantics of [`RoundEngine`].
 
 use radio_graph::{Graph, NodeId, Xoshiro256pp};
 
 use crate::engine::RoundEngine;
-use crate::exec::RunSpec;
 use crate::fault::{FaultEvent, FaultPlan, FaultSession};
 use crate::kernel::EngineKernel;
 use crate::observer::{RoundEvent, RunObserver};
 use crate::state::BroadcastState;
 use crate::trace::{RunResult, TraceBuilder, TraceLevel};
+
+/// Lane width of one [`Protocol::transmits_lanes`] call: one bit per
+/// trial lane of a `u64` word.  The tiled engine splits wider runs into
+/// 64-lane groups; the provider lane sweep runs at most this many lanes.
+pub const MAX_LANES: usize = 64;
+
+/// The lane mask with the low `lanes` bits set.
+#[inline]
+pub(crate) fn lane_mask(lanes: usize) -> u64 {
+    debug_assert!((1..=MAX_LANES).contains(&lanes));
+    if lanes == MAX_LANES {
+        u64::MAX
+    } else {
+        (1u64 << lanes) - 1
+    }
+}
 
 /// The locally observable state of one informed node at decision time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +70,8 @@ pub trait Protocol {
     fn transmits(&mut self, node: LocalNode, rng: &mut Xoshiro256pp) -> bool;
 
     /// Lane-batched decision: one transmit bit per trial lane for node
-    /// `id`, for every lane set in the `lanes` mask (see
-    /// [`crate::batch::run_protocol_batch`]).
+    /// `id`, for every lane set in the `lanes` mask (at most
+    /// [`MAX_LANES`] lanes per call; see [`crate::exec`]).
     ///
     /// `informed_round[l]` is the round lane `l`'s copy of the node became
     /// informed, and `rngs[l]` is lane `l`'s private coin stream.  The
@@ -121,7 +134,7 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
     }
 }
 
-/// Configuration for [`run_protocol`].
+/// Configuration of one protocol run (see [`crate::exec::RunSpec::with_config`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Hard cap on rounds; runs that do not complete report
@@ -176,104 +189,6 @@ impl RunConfig {
         self.kernel = kernel;
         self
     }
-}
-
-/// Runs `protocol` on `graph` from `source` until completion or the round
-/// budget is exhausted.
-#[deprecated(since = "0.1.0", note = "use radio_sim::exec::RunSpec::on_graph")]
-pub fn run_protocol<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Multi-source variant of [`run_protocol`]: every node of `sources` starts
-/// informed at round 0.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_sources(..)"
-)]
-pub fn run_protocol_multi<P: Protocol + ?Sized>(
-    graph: &Graph,
-    sources: &[NodeId],
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_graph(graph, 0)
-        .with_sources(sources)
-        .with_config(config)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Runs `protocol` from an arbitrary initial knowledge state.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_state(..)"
-)]
-pub fn run_protocol_from<P: Protocol + ?Sized>(
-    graph: &Graph,
-    state: BroadcastState,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_graph(graph, 0)
-        .with_state(state)
-        .with_config(config)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Like [`run_protocol`], but streams per-round telemetry into `observer`.
-///
-/// With [`NoopObserver`](crate::observer::NoopObserver) (what the plain
-/// runners pass) the hooks compile away; see [`crate::observer`] for the
-/// event model.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).run_observed(..)"
-)]
-pub fn run_protocol_observed<P: Protocol + ?Sized, O: RunObserver>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-    observer: &mut O,
-) -> RunResult {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .run_observed(protocol, rng, observer)
-        .into_single()
-}
-
-/// Observer-instrumented runner from an arbitrary initial state.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_state(..).run_observed(..)"
-)]
-pub fn run_protocol_from_observed<P: Protocol + ?Sized, O: RunObserver>(
-    graph: &Graph,
-    state: BroadcastState,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-    observer: &mut O,
-) -> RunResult {
-    RunSpec::on_graph(graph, 0)
-        .with_state(state)
-        .with_config(config)
-        .run_observed(protocol, rng, observer)
-        .into_single()
 }
 
 /// Observer-instrumented scalar core: the execution body behind every
@@ -332,7 +247,8 @@ pub(crate) fn scalar_observed_core<P: Protocol + ?Sized, O: RunObserver>(
     result
 }
 
-/// Runs `protocol` on `graph` under the fault plan `plan`.
+/// Observer-instrumented faulty scalar core: the execution body behind
+/// every faulted [`crate::exec::RunSpec`] round-engine plan.
 ///
 /// Crashed and sleeping nodes neither transmit nor receive; jammers force
 /// collisions on their neighborhoods; a node whose Gilbert–Elliott channel
@@ -340,54 +256,6 @@ pub(crate) fn scalar_observed_core<P: Protocol + ?Sized, O: RunObserver>(
 /// per-reception loss (`config.loss_prob`) composes on top.  See
 /// `docs/ROBUSTNESS.md` for the full semantics and the determinism
 /// contract.
-///
-/// The result carries graceful-degradation metrics: fault events in
-/// [`RunResult::fault_events`], and a [`crate::FaultSummary`] (coverage of
-/// the *live reachable* subgraph) in [`RunResult::faults`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_faults(..)"
-)]
-pub fn run_protocol_faulty<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_faults(plan)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Like [`run_protocol_faulty`], but streams round and fault telemetry into
-/// `observer` (fault events via [`RunObserver::on_fault`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_faults(..).run_observed(..)"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_protocol_faulty_observed<P: Protocol + ?Sized, O: RunObserver>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    rng: &mut Xoshiro256pp,
-    observer: &mut O,
-) -> RunResult {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_faults(plan)
-        .run_observed(protocol, rng, observer)
-        .into_single()
-}
-
-/// Observer-instrumented faulty scalar core: the execution body behind
-/// every faulted [`crate::exec::RunSpec`] round-engine plan.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scalar_faulty_observed_core<P: Protocol + ?Sized, O: RunObserver>(
     graph: &Graph,
@@ -467,10 +335,37 @@ pub(crate) fn scalar_faulty_observed_core<P: Protocol + ?Sized, O: RunObserver>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::exec::RunSpec;
     use radio_graph::Graph;
+
+    fn scalar_run<P: Protocol>(
+        g: &Graph,
+        source: NodeId,
+        p: &mut P,
+        cfg: RunConfig,
+        rng: &mut Xoshiro256pp,
+    ) -> RunResult {
+        RunSpec::on_graph(g, source)
+            .with_config(cfg)
+            .run_with_rng(p, rng)
+            .into_single()
+    }
+
+    fn multi_run<P: Protocol>(
+        g: &Graph,
+        sources: &[NodeId],
+        p: &mut P,
+        cfg: RunConfig,
+        rng: &mut Xoshiro256pp,
+    ) -> RunResult {
+        RunSpec::on_graph(g, 0)
+            .with_sources(sources)
+            .with_config(cfg)
+            .run_with_rng(p, rng)
+            .into_single()
+    }
 
     /// Every informed node always transmits (naive flooding).
     struct AlwaysTransmit;
@@ -501,7 +396,7 @@ mod tests {
         // neighbors; frontier moves fine from an endpoint source.
         let g = Graph::path(10);
         let mut rng = Xoshiro256pp::new(1);
-        let r = run_protocol(
+        let r = scalar_run(
             &g,
             0,
             &mut AlwaysTransmit,
@@ -517,7 +412,7 @@ mod tests {
         let g = Graph::path(3);
         let mut rng = Xoshiro256pp::new(1);
         let cfg = RunConfig::for_graph(3).with_max_rounds(17);
-        let r = run_protocol(&g, 0, &mut NeverTransmit, cfg, &mut rng);
+        let r = scalar_run(&g, 0, &mut NeverTransmit, cfg, &mut rng);
         assert!(!r.completed);
         assert_eq!(r.rounds, 17);
         assert_eq!(r.informed, 1);
@@ -531,7 +426,7 @@ mod tests {
         let g = Graph::from_edges(4, vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
         let mut rng = Xoshiro256pp::new(1);
         let cfg = RunConfig::for_graph(4).with_max_rounds(50);
-        let r = run_protocol(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
+        let r = scalar_run(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
         assert!(!r.completed);
         assert_eq!(r.informed, 3);
         assert!(r.total_collisions() > 0);
@@ -541,7 +436,7 @@ mod tests {
     fn single_node_completes_immediately() {
         let g = Graph::empty(1);
         let mut rng = Xoshiro256pp::new(1);
-        let r = run_protocol(
+        let r = scalar_run(
             &g,
             0,
             &mut AlwaysTransmit,
@@ -557,7 +452,7 @@ mod tests {
         let g = Graph::path(5);
         let mut rng = Xoshiro256pp::new(1);
         let cfg = RunConfig::for_graph(5).with_trace(TraceLevel::SummaryOnly);
-        let r = run_protocol(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
+        let r = scalar_run(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
         assert!(r.completed);
         assert!(r.trace.is_empty());
     }
@@ -573,7 +468,7 @@ mod tests {
     fn multi_source_run_is_faster_on_path() {
         let g = Graph::path(21);
         let mut rng = Xoshiro256pp::new(9);
-        let single = run_protocol(
+        let single = scalar_run(
             &g,
             0,
             &mut AlwaysTransmit,
@@ -583,7 +478,7 @@ mod tests {
         // Source distance must be odd: two flooding frontiers meeting at a
         // midpoint with even separation collide there forever — itself a
         // nice demonstration of the radio model.
-        let multi = run_protocol_multi(
+        let multi = multi_run(
             &g,
             &[0, 5],
             &mut AlwaysTransmit,
@@ -593,7 +488,7 @@ mod tests {
         assert!(single.completed && multi.completed);
         assert!(multi.rounds < single.rounds);
 
-        let colliding = run_protocol_multi(
+        let colliding = multi_run(
             &g,
             &[0, 20],
             &mut AlwaysTransmit,
@@ -611,7 +506,7 @@ mod tests {
         let g = Graph::path(10);
         let mut rng = Xoshiro256pp::new(10);
         let cfg = RunConfig::for_graph(10).with_loss(0.3);
-        let r = run_protocol(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
+        let r = scalar_run(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
         assert!(r.completed);
         // Losses force retries: strictly more rounds than the lossless 9.
         assert!(r.rounds >= 9);

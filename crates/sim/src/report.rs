@@ -84,7 +84,9 @@ pub struct RunReport {
     /// End-to-end wall-clock of the run in nanoseconds, if measured.
     pub wall_ns: Option<u64>,
     /// Round kernel(s) that executed the run (`"sparse"`, `"dense"`,
-    /// `"mixed"`, `"batch"`, or `"tiled"`), if recorded.  Purely
+    /// `"mixed"`, `"sweep"`, or `"tiled"`; reports written before the
+    /// batch engine was folded into tiled may also say `"batch"`), if
+    /// recorded.  Purely
     /// informational — the only report field (with `threads`) allowed to
     /// differ between kernel selections.
     pub kernel: Option<String>,
@@ -101,8 +103,9 @@ pub struct RunReport {
     /// [`RunReport::with_plan`].  Purely informational — backend choice
     /// never changes results.
     pub plan_backend: Option<String>,
-    /// Execution engine the planner selected (`"round"`, `"batch"`,
-    /// `"tiled"`, `"sweep"`, or `"lane-sweep"`), if recorded.
+    /// Execution engine the planner selected (`"round"`, `"tiled"`,
+    /// `"sweep"`, or `"lane-sweep"`; older reports may say `"batch"`), if
+    /// recorded.  Kept as a string so every archived value reads back.
     pub plan_engine: Option<String>,
     /// Shard count the planner ran with (1 for explicit CSR plans), if
     /// recorded.  Shard count never changes results.
@@ -581,6 +584,32 @@ mod tests {
         assert!(old.plan_backend.is_none());
         assert!(old.plan_engine.is_none());
         assert!(old.plan_shards.is_none());
+    }
+
+    /// Reports written while the planner still had a 64-lane batch engine
+    /// carry `"kernel": "batch"` and `"plan_engine": "batch"`; committed
+    /// traces and BENCH files from then must stay readable, unchanged.
+    #[test]
+    fn v4_batch_engine_reports_still_parse() {
+        let text = r#"{"schema_version": 4, "kind": "run_report", "algorithm": "eg",
+            "n": 1024, "p": 0.02, "seed": 7, "completed": true, "rounds": 31,
+            "informed": 1024, "coverage": 1.0, "last_delivery_round": 31,
+            "total_transmissions": 4100, "total_collisions": 880,
+            "round_to_half": 14, "round_to_90": 20, "round_to_99": 26,
+            "wall_ns": 1000, "kernel": "batch", "threads": 1, "batch_lanes": 64,
+            "plan_backend": "explicit", "plan_engine": "batch", "plan_shards": 1}"#;
+        let report = RunReport::from_json(&Json::parse(text).unwrap()).unwrap();
+        assert_eq!(report.kernel.as_deref(), Some("batch"));
+        assert_eq!(report.plan_engine.as_deref(), Some("batch"));
+        assert_eq!(report.plan_backend.as_deref(), Some("explicit"));
+        assert_eq!(report.batch_lanes, Some(64));
+        let json = report.to_json();
+        assert_eq!(json.get("kernel").and_then(Json::as_str), Some("batch"));
+        assert_eq!(
+            json.get("plan_engine").and_then(Json::as_str),
+            Some("batch")
+        );
+        assert_eq!(RunReport::from_json(&json).unwrap(), report);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!
 //! ## Determinism contract
 //!
-//! [`run_protocol_provider`] and [`run_protocol_provider_faulty`] replicate
-//! the coin-draw order of the scalar round engine ([`RunSpec`])
+//! The sweep plans of [`RunSpec::on_provider`](crate::exec::RunSpec::on_provider)
+//! replicate the coin-draw order of the scalar round engine
 //! draw-for-draw: fault coins at round start, decision coins per informed
 //! node in ascending id, then one loss coin per exactly-one reception in
 //! ascending id.  An implicit run and an explicit run on
@@ -38,21 +38,19 @@ use radio_graph::{
 };
 use std::ops::Range;
 
-use crate::batch::{lane_mask, MAX_LANES};
 use crate::bitset::BitSet;
 use crate::engine::RoundOutcome;
-use crate::exec::RunSpec;
 use crate::fault::{FaultEvent, FaultPlan, FaultSession, LaneFaultSession, LiveView};
 use crate::kernel::{KernelUsed, DEFAULT_BITMAP_CAP_BYTES};
-use crate::protocol::{LocalNode, Protocol, RunConfig};
+use crate::protocol::{lane_mask, LocalNode, Protocol, RunConfig, MAX_LANES};
 use crate::state::{BroadcastState, NOT_INFORMED};
 use crate::trace::{RoundRecord, RunResult, TraceBuilder, TraceLevel};
 
 /// Which graph backend a run executes on.
 ///
 /// `Explicit` is the classic path (CSR +
-/// [`RoundEngine`](crate::engine::RoundEngine) with its sparse/dense/batch
-/// kernels);
+/// [`RoundEngine`](crate::engine::RoundEngine) with its sparse/dense
+/// kernels, and the tiled lane engine);
 /// `Implicit` regenerates neighborhoods from the seed via [`ImplicitGnp`]
 /// and runs on the [`SweepEngine`]; `Sharded` is the sweep over an explicit
 /// CSR split across worker shards.  `Auto` picks per run size — see
@@ -416,28 +414,6 @@ impl<'p> SweepEngine<'p> {
     }
 }
 
-/// Runs `protocol` on any [`GraphProvider`] backend.
-///
-/// With `shards ≤ 1` and an explicit backend this is exactly the scalar
-/// round engine (it keeps its sparse/dense fast paths);
-/// otherwise the run executes on the [`SweepEngine`] and reports
-/// [`KernelUsed::Sweep`].  Either way the result is bit-identical to the
-/// explicit run on [`GraphProvider::materialize`]'s graph.
-#[deprecated(since = "0.1.0", note = "use radio_sim::exec::RunSpec::on_provider")]
-pub fn run_protocol_provider<P: Protocol + ?Sized>(
-    provider: &dyn GraphProvider,
-    shards: usize,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_provider(provider, shards, source)
-        .with_config(config)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
 /// Scalar sweep core: the body behind every
 /// [`PlannedEngine::Sweep`](crate::exec::PlannedEngine::Sweep) plan.
 /// (The shards ≤ 1 + explicit-adjacency fast path lives in the planner,
@@ -486,37 +462,13 @@ pub(crate) fn run_sweep_scalar_core<P: Protocol + ?Sized>(
     result
 }
 
-/// Runs `protocol` on a [`GraphProvider`] backend under a fault plan;
-/// the provider analogue of the scalar faulty runner.
+/// Faulted scalar sweep core (see [`run_sweep_scalar_core`]).
 ///
 /// The graceful-degradation [`FaultSummary`](crate::fault::FaultSummary)
 /// needs explicit adjacency for its live-subgraph BFS, so purely implicit
 /// backends **materialize once at the end of the run** to compute it —
 /// `O(n + m)` extra memory, fine at differential-test sizes but
 /// deliberately avoided by the fault-free scale runner above.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_provider(..).with_faults(..)"
-)]
-pub fn run_protocol_provider_faulty<P: Protocol + ?Sized>(
-    provider: &dyn GraphProvider,
-    shards: usize,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_provider(provider, shards, source)
-        .with_config(config)
-        .with_faults(plan)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Faulted scalar sweep core (see [`run_sweep_scalar_core`]); computes
-/// the graceful-degradation summary by materializing purely implicit
-/// backends once at the end of the run.
 pub(crate) fn run_sweep_faulty_core<P: Protocol + ?Sized>(
     provider: &dyn GraphProvider,
     shards: usize,
@@ -652,8 +604,8 @@ fn fill_lane_shard(
 /// regeneration across a whole batch of trials.
 ///
 /// Lane `l` is **bit-identical** to the scalar runners on
-/// `child_rng(master_seed, l)` — the same contract the batch kernel
-/// pins.  The core replays the scalar coin order within every lane
+/// `child_rng(master_seed, l)` — the same contract the tiled engine
+/// keeps.  The core replays the scalar coin order within every lane
 /// (fault/burst coins at round start, node-major and lane-ascending;
 /// decision coins per informed node in ascending id; loss coins per
 /// exactly-one reception in ascending id), each lane owns a private
@@ -697,9 +649,8 @@ pub(crate) fn run_sweep_lanes_core<P: Protocol + ?Sized>(
     let mut session = plan.map(LaneFaultSession::new);
     let mut lane_events: Vec<Vec<FaultEvent>> = vec![Vec::new(); lanes];
 
-    // Per-lane broadcast state, struct-of-words (same layout as the
-    // batch kernel): informed mask per node, informed round per
-    // (node, lane).
+    // Per-lane broadcast state, struct-of-words: informed mask per node,
+    // informed round per (node, lane).
     let mut informed: Vec<u64> = vec![0; n];
     informed[source as usize] = full;
     let mut informed_round: Vec<u32> = vec![NOT_INFORMED; n * lanes];
@@ -1012,11 +963,10 @@ pub fn implicit_gnp(n: usize, p: f64, seed: u64) -> ImplicitGnp {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::exec::RunSpec;
     use crate::fault::FaultPlan;
-    use crate::protocol::{run_protocol, run_protocol_faulty};
     use radio_graph::Graph;
 
     struct AlwaysTransmit;
@@ -1106,9 +1056,15 @@ mod tests {
         let g = ImplicitGnp::new(300, 0.03, 5).materialize();
         let cfg = RunConfig::for_graph(300);
         let mut rng_a = Xoshiro256pp::new(77);
-        let a = run_protocol(&g, 0, &mut HalfCoin, cfg, &mut rng_a);
+        let a = RunSpec::on_graph(&g, 0)
+            .with_config(cfg)
+            .run_with_rng(&mut HalfCoin, &mut rng_a)
+            .into_single();
         let mut rng_b = Xoshiro256pp::new(77);
-        let b = run_protocol_provider(&g, 1, 0, &mut HalfCoin, cfg, &mut rng_b);
+        let b = RunSpec::on_provider(&g, 1, 0)
+            .with_config(cfg)
+            .run_with_rng(&mut HalfCoin, &mut rng_b)
+            .into_single();
         assert_eq!(a, b, "shards=1 on explicit must take the engine fast path");
         assert_eq!(rng_a.next(), rng_b.next());
     }
@@ -1118,10 +1074,16 @@ mod tests {
         let g = ImplicitGnp::new(400, 0.025, 9).materialize();
         let cfg = RunConfig::for_graph(400);
         let mut rng_a = Xoshiro256pp::new(3);
-        let mut a = run_protocol(&g, 2, &mut HalfCoin, cfg, &mut rng_a);
+        let mut a = RunSpec::on_graph(&g, 2)
+            .with_config(cfg)
+            .run_with_rng(&mut HalfCoin, &mut rng_a)
+            .into_single();
         for shards in [2, 4, 7] {
             let mut rng_b = Xoshiro256pp::new(3);
-            let b = run_protocol_provider(&g, shards, 2, &mut HalfCoin, cfg, &mut rng_b);
+            let b = RunSpec::on_provider(&g, shards, 2)
+                .with_config(cfg)
+                .run_with_rng(&mut HalfCoin, &mut rng_b)
+                .into_single();
             assert_eq!(b.kernel, KernelUsed::Sweep);
             a.kernel = KernelUsed::Sweep;
             assert_eq!(a, b, "shards = {shards}");
@@ -1135,9 +1097,15 @@ mod tests {
         let g = imp.materialize();
         let cfg = RunConfig::for_graph(350).with_loss(0.2);
         let mut rng_a = Xoshiro256pp::new(41);
-        let mut a = run_protocol(&g, 0, &mut HalfCoin, cfg, &mut rng_a);
+        let mut a = RunSpec::on_graph(&g, 0)
+            .with_config(cfg)
+            .run_with_rng(&mut HalfCoin, &mut rng_a)
+            .into_single();
         let mut rng_b = Xoshiro256pp::new(41);
-        let b = run_protocol_provider(&imp, 1, 0, &mut HalfCoin, cfg, &mut rng_b);
+        let b = RunSpec::on_provider(&imp, 1, 0)
+            .with_config(cfg)
+            .run_with_rng(&mut HalfCoin, &mut rng_b)
+            .into_single();
         a.kernel = KernelUsed::Sweep;
         assert_eq!(a, b);
         assert_eq!(rng_a.next(), rng_b.next());
@@ -1154,18 +1122,18 @@ mod tests {
             .set_burst(0.3, 0.25);
         let cfg = RunConfig::for_graph(256).with_loss(0.1);
         let mut rng_a = Xoshiro256pp::new(19);
-        let mut a = run_protocol_faulty(&g, 1, &mut HalfCoin, cfg, &plan, &mut rng_a);
+        let mut a = RunSpec::on_graph(&g, 1)
+            .with_config(cfg)
+            .with_faults(&plan)
+            .run_with_rng(&mut HalfCoin, &mut rng_a)
+            .into_single();
         for shards in [1, 4] {
             let mut rng_b = Xoshiro256pp::new(19);
-            let b = run_protocol_provider_faulty(
-                &imp,
-                shards,
-                1,
-                &mut HalfCoin,
-                cfg,
-                &plan,
-                &mut rng_b,
-            );
+            let b = RunSpec::on_provider(&imp, shards, 1)
+                .with_config(cfg)
+                .with_faults(&plan)
+                .run_with_rng(&mut HalfCoin, &mut rng_b)
+                .into_single();
             a.kernel = KernelUsed::Sweep;
             assert_eq!(a, b, "shards = {shards}");
             assert_eq!(rng_a.clone().next(), rng_b.next());
@@ -1176,14 +1144,13 @@ mod tests {
     fn flooding_on_path_provider() {
         let g = Graph::path(10);
         let mut rng = Xoshiro256pp::new(1);
-        let r = run_protocol_provider(
-            &g,
-            3, // force the sweep path on an explicit graph
+        let r = RunSpec::on_provider(
+            &g, 3, // force the sweep path on an explicit graph
             0,
-            &mut AlwaysTransmit,
-            RunConfig::for_graph(10),
-            &mut rng,
-        );
+        )
+        .with_config(RunConfig::for_graph(10))
+        .run_with_rng(&mut AlwaysTransmit, &mut rng)
+        .into_single();
         assert!(r.completed);
         assert_eq!(r.rounds, 9);
         assert_eq!(r.kernel, KernelUsed::Sweep);
@@ -1207,7 +1174,10 @@ mod tests {
                 assert_eq!(batch.len(), lanes);
                 for (l, got) in batch.iter().enumerate() {
                     let mut rng = child_rng(master, l as u64);
-                    let mut want = run_protocol(&g, 0, &mut HalfCoin, cfg, &mut rng);
+                    let mut want = RunSpec::on_graph(&g, 0)
+                        .with_config(cfg)
+                        .run_with_rng(&mut HalfCoin, &mut rng)
+                        .into_single();
                     want.kernel = KernelUsed::Sweep;
                     assert_eq!(*got, want, "case {case}, shards {shards}, lane {l}");
                 }
@@ -1242,7 +1212,11 @@ mod tests {
                 );
                 for (l, got) in batch.iter().enumerate() {
                     let mut rng = child_rng(master, l as u64);
-                    let mut want = run_protocol_faulty(&g, 1, &mut HalfCoin, cfg, &plan, &mut rng);
+                    let mut want = RunSpec::on_graph(&g, 1)
+                        .with_config(cfg)
+                        .with_faults(&plan)
+                        .run_with_rng(&mut HalfCoin, &mut rng)
+                        .into_single();
                     want.kernel = KernelUsed::Sweep;
                     assert_eq!(*got, want, "case {case}, shards {shards}, lane {l}");
                 }

@@ -1,47 +1,48 @@
-//! Tiled SIMD + intra-round multithreaded runner: up to
+//! Tiled SIMD + intra-round multithreaded lane engine: up to
 //! [`MAX_TILED_LANES`] protocol trials per adjacency sweep.
 //!
-//! The [batch runner](crate::batch) packs 64 trials into one `u64` per
-//! node; this module widens that to [`TileLayout`] rows of up to 16
-//! words (1024 lanes) resolved by the gather/compress sweep of
-//! [`crate::wide::sweep_rows`], and — because the two-plane saturating
-//! counter is commutative and every listener row is independent —
-//! fans the per-round sweep across a scoped thread pool using the same
-//! work-stealing cursor as [`crate::runner::run_trials`].
+//! This is the one explicit multi-lane engine: every
+//! [`PlannedEngine::Tiled`](crate::exec::PlannedEngine::Tiled) plan (2 to
+//! 1024 lanes on stored adjacency) runs here.  Each node owns a
+//! [`TileLayout`] row of up to 16 words (one bit per lane) resolved by the
+//! gather/compress sweep of [`crate::wide::sweep_rows`], and — because the
+//! two-plane saturating counter is commutative and every listener row is
+//! independent — the per-round sweep fans across a scoped thread pool
+//! using the same work-stealing cursor as [`crate::runner::run_trials`].
 //!
 //! ## Determinism contract
 //!
-//! Lane `l` of [`run_protocol_tiled`] with master seed `s` is
-//! **bit-identical** to a scalar [`run_protocol`](crate::run_protocol)
-//! on the RNG stream `child_rng(s, l)` — the same contract as the batch
-//! runner, extended past 64 lanes — *and* the result is identical for
-//! every thread count (`RADIO_THREADS=1`, 3, 8, …).  Both properties
-//! hold by construction:
+//! Lane `l` of a tiled run with master seed `s` is **bit-identical** to
+//! the scalar [`RoundEngine`](crate::RoundEngine) run on the RNG stream
+//! `child_rng(s, l)` — same completion flag, round count, trace, fault
+//! events and [`crate::FaultSummary`], lossy runs included — *and* the
+//! result is identical for every thread count (`RADIO_THREADS=1`, 3, 8,
+//! …).  Both properties hold by construction:
 //!
+//! * the decision phase walks nodes in ascending id order and each lane
+//!   draws from its private RNG, so every lane sees the scalar coin order;
 //! * each round is split into a parallel **merge phase** that only
 //!   *stores* per-row reachability words (order-independent: row blocks
 //!   are disjoint, and the saturating counter commutes), and a serial
 //!   **resolution phase** that walks the stored rows in ascending node
 //!   order drawing loss coins in the scalar order;
-//! * every lane owns a private RNG, so lanes never perturb each other's
-//!   streams, and no RNG is ever touched on a worker thread.
+//! * no RNG is ever touched on a worker thread.
 //!
 //! The contract is pinned by the `kernel_differential` suite, which
-//! replays plain, lossy, and faulted runs at several thread counts.
+//! replays plain, lossy, and faulted runs at 1 to 1024 lanes and several
+//! thread counts against the scalar engine.
 //!
-//! Like the batch runner, the tiled runner implies
-//! [`TransmitterPolicy::InformedOnly`](crate::TransmitterPolicy::InformedOnly).
-//! [`RunConfig::kernel`] participates in dispatch only: unless the
-//! caller forces [`EngineKernel::Tiled`](crate::EngineKernel::Tiled), small jobs (≤ 64 lanes and
-//! below the [`crate::kernel::tiled_is_cheaper`] break-even) fall back
-//! to the batch runner, whose results are bit-identical anyway.
+//! The tiled engine implies
+//! [`TransmitterPolicy::InformedOnly`](crate::TransmitterPolicy::InformedOnly)
+//! (transmit words are drawn from informed lanes only, like the scalar
+//! protocol runner), ignores [`RunConfig::kernel`], and reports
+//! [`KernelUsed::Tiled`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use radio_graph::{child_rng, AlignedWords, Graph, NodeId, TileLayout, Xoshiro256pp};
 
 use crate::bitset::BitSet;
-use crate::exec::RunSpec;
 use crate::fault::{FaultEvent, FaultPlan, LaneFaultSession, LiveView};
 use crate::kernel::KernelUsed;
 use crate::protocol::{Protocol, RunConfig};
@@ -70,109 +71,21 @@ impl<T> Clone for SendPtr<T> {
 }
 impl<T> Copy for SendPtr<T> {}
 
-/// Runs `lanes` independent trials of `protocol` on `graph` from
-/// `source` with the tiled kernel, one trial per bit lane, and returns
-/// one [`RunResult`] per lane (index = lane = RNG stream index).
+/// Tiled execution core: the body behind every
+/// [`PlannedEngine::Tiled`](crate::exec::PlannedEngine::Tiled) plan.
 ///
-/// Lane `l` uses the RNG stream `child_rng(master_seed, l)` and is
-/// bit-identical to a scalar [`run_protocol`](crate::run_protocol) on
-/// that stream; see the module docs for the full contract.  The
-/// intra-round worker count follows [`thread_budget`] (the
-/// `RADIO_THREADS` environment variable caps it) and **never** affects
-/// results — only the `threads` field of the [`RunResult`]s.
-///
-/// Unless `config.kernel` is [`EngineKernel::Tiled`](crate::EngineKernel::Tiled), jobs of at most
-/// 64 lanes below the tiled break-even run on the batch kernel instead
-/// (identical results, reported as [`KernelUsed::Batch`]).
+/// Runs `lanes` trials of `protocol` from `source`, lane `l` on
+/// `child_rng(master_seed, l)`, and returns one [`RunResult`] per lane.
+/// `threads` overrides [`thread_budget`] (clamped to the number of row
+/// blocks); the worker count never changes results, only the `threads`
+/// field of each [`RunResult`].  `protocol.begin_run(n)` is called once
+/// for the whole run — sound because [`Protocol`] implementations keep
+/// only per-protocol configuration derived from `n`.
 ///
 /// # Panics
 ///
-/// If `lanes` is not in `1..=`[`MAX_TILED_LANES`] or `source` is out
-/// of range.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_lanes(..)"
-)]
-pub fn run_protocol_tiled<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    master_seed: u64,
-    lanes: usize,
-) -> Vec<RunResult> {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_lanes(lanes)
-        .with_master_seed(master_seed)
-        .run(protocol)
-        .lanes
-}
-
-/// Like [`run_protocol_tiled`], but every lane runs under the fault
-/// plan `plan`.  Lane `l` is bit-identical to a scalar
-/// [`run_protocol_faulty`](crate::run_protocol_faulty) on
-/// `child_rng(master_seed, l)` — same trace, same fault events, same
-/// [`crate::FaultSummary`], same residual RNG stream.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_lanes(..).with_faults(..)"
-)]
-pub fn run_protocol_tiled_faulty<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    master_seed: u64,
-    lanes: usize,
-) -> Vec<RunResult> {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_lanes(lanes)
-        .with_master_seed(master_seed)
-        .with_faults(plan)
-        .run(protocol)
-        .lanes
-}
-
-/// [`run_protocol_tiled`] / [`run_protocol_tiled_faulty`] with an
-/// explicit intra-round worker count, bypassing [`thread_budget`].
-///
-/// Meant for differential tests that pin several thread counts within
-/// one process (the `RADIO_THREADS` variable is process-global, so it
-/// cannot vary per call).  `threads` is clamped to the number of row
-/// blocks; results are identical for every value.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_lanes(..).with_threads(..)"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_protocol_tiled_with_threads<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: Option<&FaultPlan>,
-    master_seed: u64,
-    lanes: usize,
-    threads: usize,
-) -> Vec<RunResult> {
-    let mut spec = RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_lanes(lanes)
-        .with_master_seed(master_seed)
-        .with_threads(threads);
-    if let Some(p) = plan {
-        spec = spec.with_faults(p);
-    }
-    spec.run(protocol).lanes
-}
-
-/// Tiled execution core: the body behind every
-/// [`PlannedEngine::Tiled`](crate::exec::PlannedEngine::Tiled) plan.
-/// (The batch-vs-tiled cost-model dispatch lives in the planner,
-/// [`RunSpec::plan`].)
+/// If `lanes` is not in `1..=`[`MAX_TILED_LANES`] or `source` is out of
+/// range.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
     graph: &Graph,
@@ -337,9 +250,11 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
             }
         }
 
-        // Inject jammers into every active lane, exactly like the batch
-        // runner: the saturating counter resolves jam collisions, and
-        // jam-only exactly-one lanes are demoted via `jam_touch`.
+        // Inject jammers into every active lane's transmit row: a jam hit
+        // saturates the two-plane counter exactly like a real transmitter,
+        // so 1-real+jam lanes land in the ≥2 plane automatically.  Lanes
+        // where the jammer is the *only* hit stay in the exactly-one plane
+        // and are demoted to collisions via `jam_touch` during resolution.
         if let Some(s) = session.as_ref() {
             if jam_dirty {
                 jam_touch
@@ -713,12 +628,10 @@ fn sweep_block(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::batch::run_protocol_batch;
-    use crate::kernel::EngineKernel;
-    use crate::protocol::{run_protocol, run_protocol_faulty, LocalNode};
+    use crate::exec::RunSpec;
+    use crate::protocol::LocalNode;
     use radio_graph::derive_seed;
     use radio_graph::gnp::sample_gnp;
 
@@ -733,12 +646,26 @@ mod tests {
         }
     }
 
-    /// Forces the tiled kernel so small test graphs skip the batch
-    /// fallback.
-    fn tiled_cfg(n: usize) -> RunConfig {
-        RunConfig::for_graph(n)
-            .with_max_rounds(60)
-            .with_kernel(EngineKernel::Tiled)
+    fn cfg(n: usize) -> RunConfig {
+        RunConfig::for_graph(n).with_max_rounds(60)
+    }
+
+    /// The scalar round engine on lane `lane`'s stream: the reference
+    /// every tiled lane must equal.
+    fn scalar_lane(
+        g: &Graph,
+        p: f64,
+        cfg: RunConfig,
+        plan: Option<&FaultPlan>,
+        master: u64,
+        lane: usize,
+    ) -> RunResult {
+        let mut spec = RunSpec::on_graph(g, 0).with_config(cfg);
+        if let Some(plan) = plan {
+            spec = spec.with_faults(plan);
+        }
+        let mut rng = child_rng(master, lane as u64);
+        normalize(spec.run_with_rng(&mut Coin(p), &mut rng).into_single())
     }
 
     fn normalize(mut r: RunResult) -> RunResult {
@@ -754,19 +681,28 @@ mod tests {
             let n = 50 + grng.below(60) as usize;
             let g = sample_gnp(n, 0.12, &mut grng);
             let loss = if case % 2 == 0 { 0.0 } else { 0.25 };
-            let cfg = tiled_cfg(n).with_loss(loss);
+            let cfg = cfg(n).with_loss(loss);
             let master = derive_seed(0x5EED, case);
-            let tiled =
-                run_protocol_tiled_with_threads(&g, 0, &mut Coin(0.3), cfg, None, master, lanes, 2);
+            let tiled = run_tiled_core(&g, 0, &mut Coin(0.3), cfg, None, master, lanes, Some(2));
             assert_eq!(tiled.len(), lanes);
-            for (l, got) in tiled.iter().enumerate() {
-                let mut rng = child_rng(master, l as u64);
-                let want = run_protocol(&g, 0, &mut Coin(0.3), cfg, &mut rng);
-                assert_eq!(
-                    normalize(got.clone()),
-                    normalize(want),
-                    "case {case}, lane {l}"
-                );
+            for (l, got) in tiled.into_iter().enumerate() {
+                let want = scalar_lane(&g, 0.3, cfg, None, master, l);
+                assert_eq!(normalize(got), want, "case {case}, lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn partial_lane_counts_work() {
+        let mut grng = Xoshiro256pp::new(7);
+        let g = sample_gnp(60, 0.15, &mut grng);
+        let cfg = cfg(60).with_max_rounds(40);
+        for lanes in [1usize, 2, 17, 63] {
+            let tiled = run_tiled_core(&g, 0, &mut Coin(0.25), cfg, None, 99, lanes, Some(1));
+            assert_eq!(tiled.len(), lanes);
+            for (l, got) in tiled.into_iter().enumerate() {
+                let want = scalar_lane(&g, 0.25, cfg, None, 99, l);
+                assert_eq!(normalize(got), want, "lanes {lanes}, lane {l}");
             }
         }
     }
@@ -783,10 +719,10 @@ mod tests {
             .jam(7, 2, 12)
             .set_burst(0.3, 0.25);
         for (case, loss) in [(0usize, 0.0), (1, 0.2)] {
-            let cfg = tiled_cfg(n).with_loss(loss);
+            let cfg = cfg(n).with_loss(loss);
             let master = derive_seed(0x5EED, case as u64);
             let lanes = 70;
-            let tiled = run_protocol_tiled_with_threads(
+            let tiled = run_tiled_core(
                 &g,
                 0,
                 &mut Coin(0.3),
@@ -794,17 +730,12 @@ mod tests {
                 Some(&combined),
                 master,
                 lanes,
-                3,
+                Some(3),
             );
             assert_eq!(tiled.len(), lanes);
-            for (l, got) in tiled.iter().enumerate() {
-                let mut rng = child_rng(master, l as u64);
-                let want = run_protocol_faulty(&g, 0, &mut Coin(0.3), cfg, &combined, &mut rng);
-                assert_eq!(
-                    normalize(got.clone()),
-                    normalize(want),
-                    "case {case}, lane {l}"
-                );
+            for (l, got) in tiled.into_iter().enumerate() {
+                let want = scalar_lane(&g, 0.3, cfg, Some(&combined), master, l);
+                assert_eq!(normalize(got), want, "case {case}, lane {l}");
             }
         }
     }
@@ -814,12 +745,12 @@ mod tests {
         let mut grng = Xoshiro256pp::new(derive_seed(0x7ead, 0));
         let n = 300; // two row blocks, so multi-threading really splits work
         let g = sample_gnp(n, 0.04, &mut grng);
-        let cfg = tiled_cfg(n).with_loss(0.1);
+        let cfg = cfg(n).with_loss(0.1);
         let lanes = 96;
         let runs: Vec<Vec<RunResult>> = [1usize, 3, 8]
             .iter()
             .map(|&t| {
-                run_protocol_tiled_with_threads(&g, 0, &mut Coin(0.25), cfg, None, 42, lanes, t)
+                run_tiled_core(&g, 0, &mut Coin(0.25), cfg, None, 42, lanes, Some(t))
                     .into_iter()
                     .map(normalize)
                     .collect()
@@ -830,43 +761,9 @@ mod tests {
     }
 
     #[test]
-    fn small_jobs_fall_back_to_batch_unless_forced() {
-        let mut grng = Xoshiro256pp::new(5);
-        let g = sample_gnp(60, 0.15, &mut grng);
-        let auto = RunConfig::for_graph(60).with_max_rounds(40);
-        let fall = run_protocol_tiled(&g, 0, &mut Coin(0.3), auto, 9, 8);
-        assert!(fall.iter().all(|r| r.kernel == KernelUsed::Batch));
-        assert!(fall.iter().all(|r| r.threads == 1));
-        let forced = run_protocol_tiled(
-            &g,
-            0,
-            &mut Coin(0.3),
-            auto.with_kernel(EngineKernel::Tiled),
-            9,
-            8,
-        );
-        assert!(forced.iter().all(|r| r.kernel == KernelUsed::Tiled));
-        for (f, b) in forced.iter().zip(&fall) {
-            assert_eq!(normalize(f.clone()), normalize(b.clone()));
-        }
-    }
-
-    #[test]
-    fn batch_entry_point_delegates_forced_tiled() {
-        let mut grng = Xoshiro256pp::new(6);
-        let g = sample_gnp(50, 0.15, &mut grng);
-        let cfg = RunConfig::for_graph(50)
-            .with_max_rounds(40)
-            .with_kernel(EngineKernel::Tiled);
-        let via_batch = run_protocol_batch(&g, 0, &mut Coin(0.4), cfg, 11, 12);
-        assert!(via_batch.iter().all(|r| r.kernel == KernelUsed::Tiled));
-    }
-
-    #[test]
     fn single_node_graph_completes_in_zero_rounds() {
         let g = Graph::empty(1);
-        let tiled =
-            run_protocol_tiled_with_threads(&g, 0, &mut Coin(0.5), tiled_cfg(1), None, 1, 100, 2);
+        let tiled = run_tiled_core(&g, 0, &mut Coin(0.5), cfg(1), None, 1, 100, Some(2));
         for r in &tiled {
             assert!(r.completed);
             assert_eq!(r.rounds, 0);
@@ -879,6 +776,8 @@ mod tests {
     #[should_panic]
     fn too_many_lanes_rejected() {
         let g = Graph::path(3);
-        let _ = run_protocol_tiled(&g, 0, &mut Coin(0.5), tiled_cfg(3), 1, MAX_TILED_LANES + 1);
+        let _ = RunSpec::on_graph(&g, 0)
+            .with_lanes(MAX_TILED_LANES + 1)
+            .run(&mut Coin(0.5));
     }
 }

@@ -33,8 +33,8 @@ step "cargo test (debug)"
 cargo test --workspace --offline -q
 
 # The fault-model cross-kernel contract (crash/sleep/jam/burst plans replay
-# bit-identically on the sparse, dense, and lane-batched kernels) is also
-# pinned explicitly, debug here and release below.
+# bit-identically on the sparse and dense kernels and the tiled lane
+# engine) is also pinned explicitly, debug here and release below.
 step "fault-model differential suite (debug)"
 cargo test --offline -q -p radio-sim fault
 cargo test --offline -q -p radio-integration --test fault_differential
@@ -57,11 +57,12 @@ for threads in 1 8; do
     -p radio-integration --test backend_differential implicit_lane_planes
 done
 
-# The tiled-kernel contract: every lane is bit-identical to the scalar
-# and batch runners, and the whole result vector is invariant under the
-# intra-round worker count.  The suite pins worker counts 1/3/8
-# internally; the RADIO_THREADS sweep additionally pins the env-driven
-# default pool size the CLI picks up.
+# The lane-engine contract: every lane of a 1..=1024-lane run (plain,
+# lossy, faulted, single-node, disconnected) is bit-identical to the
+# scalar round engine on its child stream, and the whole result vector is
+# invariant under the intra-round worker count.  The suite pins worker
+# counts 1/3/8 internally; the RADIO_THREADS sweep additionally pins the
+# env-driven default pool size the CLI picks up.
 step "tiled kernel differential suite (debug)"
 cargo test --offline -q -p radio-sim tiled
 for threads in 1 8; do
@@ -94,16 +95,9 @@ if [ "$fast" -eq 0 ]; then
   cargo test --release --offline -q -p radio-sim kernel
   cargo test --release --offline -q -p radio-integration --test props_cross_crate kernel
 
-  # The lane-batched runner's bit-identity contract (every lane == the
-  # scalar run on the same stream, lossy included) likewise must survive
-  # optimization.
-  step "batch equivalence suite (release)"
-  cargo test --release --offline -q -p radio-sim batch
-  cargo test --release --offline -q -p radio-integration --test batch_vs_scalar
-
   # The fault-model differential suite re-runs in release: the dense
-  # three-plane resolution and the batch jam/burst word arithmetic must
-  # stay bit-identical to the sparse reference under optimization.
+  # three-plane resolution and the lane engines' jam/burst word arithmetic
+  # must stay bit-identical to the sparse reference under optimization.
   step "fault-model differential suite (release)"
   cargo test --release --offline -q -p radio-sim fault
   cargo test --release --offline -q -p radio-integration --test fault_differential
@@ -125,10 +119,11 @@ if [ "$fast" -eq 0 ]; then
       -p radio-integration --test backend_differential implicit_lane_planes
   done
 
-  # The tiled kernel re-runs in release under both a serial and an
+  # The tiled lane engine re-runs in release under both a serial and an
   # oversubscribed pool: the AVX-512 sweep, the compact transmitter
   # table, and the block-cursor work stealing must stay bit-identical
-  # to the scalar engine under optimization.
+  # to the scalar engine under optimization, at every lane count the
+  # retired batch-equivalence step used to cover.
   step "tiled kernel differential suite (release)"
   cargo test --release --offline -q -p radio-sim tiled
   for threads in 1 8; do

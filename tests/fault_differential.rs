@@ -2,21 +2,18 @@
 //!
 //! The determinism contract of the fault subsystem: a [`FaultPlan`] replays
 //! bit-identically on the scalar sparse kernel, the scalar dense kernel,
-//! and the 64-lane batch kernel — same informed sets, same coverage, same
+//! and 64 lanes of the tiled lane engine — same informed sets, same coverage, same
 //! fault events, same [`radio_sim::FaultSummary`], and the same residual
 //! RNG stream.  This suite exercises the contract through the real
 //! protocol stack (EG, Decay, and the epoch-restarting wrapper) rather
 //! than the simulator's internal test protocols.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::distributed::{Decay, EgDistributed, Restartable};
 use radio_graph::gnp::sample_gnp;
 use radio_graph::{child_rng, Graph, GraphProvider, ImplicitGnp, Xoshiro256pp};
 use radio_sim::{
-    run_protocol_batch_faulty, run_protocol_faulty, EngineKernel, FaultConfig, FaultPlan,
-    KernelUsed, Protocol, RunConfig, RunSpec, TraceLevel, MAX_LANES,
+    EngineKernel, FaultConfig, FaultPlan, KernelUsed, Protocol, RunConfig, RunSpec, TraceLevel,
+    MAX_LANES,
 };
 
 /// One fault plan per fault type, plus a kitchen-sink combination.
@@ -75,7 +72,7 @@ fn protocol_factories(p: f64) -> Vec<(&'static str, ProtocolFactory)> {
     ]
 }
 
-/// Batch lane `l` must equal the scalar faulty run seeded with
+/// Tiled lane `l` of a 64-lane run must equal the scalar faulty run seeded with
 /// `child_rng(master, l)` on both scalar kernels, for every fault type and
 /// every protocol — and the two scalar kernels must leave the caller's RNG
 /// in the same state.
@@ -97,29 +94,24 @@ fn batch_lanes_match_scalar_kernels_under_faults() {
         };
         for (proto_name, make) in protocol_factories(p) {
             let mut batch_proto = make();
-            let lanes = run_protocol_batch_faulty(
-                &g,
-                0,
-                batch_proto.as_mut(),
-                cfg,
-                &plan,
-                master,
-                MAX_LANES,
-            );
+            let lanes = RunSpec::on_graph(&g, 0)
+                .with_config(cfg)
+                .with_lanes(MAX_LANES)
+                .with_master_seed(master)
+                .with_faults(&plan)
+                .run(batch_proto.as_mut())
+                .lanes;
             for lane in [0usize, 1, 7, MAX_LANES - 1] {
                 let mut streams = Vec::new();
                 for kernel in [EngineKernel::Sparse, EngineKernel::Dense] {
                     let mut rng = child_rng(master, lane as u64);
                     let mut proto = make();
-                    let mut scalar = run_protocol_faulty(
-                        &g,
-                        0,
-                        proto.as_mut(),
-                        cfg.with_kernel(kernel),
-                        &plan,
-                        &mut rng,
-                    );
-                    scalar.kernel = KernelUsed::Batch;
+                    let mut scalar = RunSpec::on_graph(&g, 0)
+                        .with_config(cfg.with_kernel(kernel))
+                        .with_faults(&plan)
+                        .run_with_rng(proto.as_mut(), &mut rng)
+                        .into_single();
+                    scalar.kernel = KernelUsed::Tiled;
                     assert_eq!(
                         scalar, lanes[lane],
                         "{case}/{proto_name}: lane {lane} diverged from scalar {kernel:?}"
@@ -215,7 +207,11 @@ fn fault_summary_is_kernel_independent() {
     let run = |kernel| {
         let mut proto = EgDistributed::new(p);
         let mut rng = Xoshiro256pp::new(77);
-        run_protocol_faulty(&g, 0, &mut proto, cfg.with_kernel(kernel), &plan, &mut rng)
+        RunSpec::on_graph(&g, 0)
+            .with_config(cfg.with_kernel(kernel))
+            .with_faults(&plan)
+            .run_with_rng(&mut proto, &mut rng)
+            .into_single()
     };
     let sparse = run(EngineKernel::Sparse);
     let dense = run(EngineKernel::Dense);

@@ -138,3 +138,57 @@ fn simnet_respects_the_shared_fault_plan() {
         "crashed sender transmits nothing"
     );
 }
+
+/// Set in the environment of the child process that
+/// `hostile_nesting_on_stdin_is_an_ordinary_error` spawns.
+const STDIN_NODE_CHILD: &str = "RADIO_NODE_STDIN_CHILD";
+
+/// Child half of `hostile_nesting_on_stdin_is_an_ordinary_error`: when
+/// spawned with [`STDIN_NODE_CHILD`] set, runs the `radio-node node`
+/// entry point on this process's stdin (it exits the process itself).
+/// Without the variable it does nothing.
+#[test]
+fn stdin_node_child() {
+    if std::env::var_os(STDIN_NODE_CHILD).is_some() {
+        radio_node::cli::cli_main(vec!["node".into(), "--seed".into(), "7".into()]);
+        std::process::exit(0);
+    }
+}
+
+/// 200k nested `[` on one stdin line used to overflow the stack and abort
+/// the service (SIGABRT, exit 134).  The JSON depth cap turns the line
+/// into an ordinary parse error: the process reports it and exits 1.
+#[test]
+fn hostile_nesting_on_stdin_is_an_ordinary_error() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "stdin_node_child",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env(STDIN_NODE_CHILD, "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn the stdin node child");
+    {
+        let mut stdin = child.stdin.take().unwrap();
+        let mut line = "[".repeat(200_000);
+        line.push('\n');
+        stdin.write_all(line.as_bytes()).unwrap();
+    }
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt;
+        assert_eq!(out.status.signal(), None, "killed by a signal: {stderr}");
+    }
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
