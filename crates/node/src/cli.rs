@@ -172,6 +172,7 @@ pub fn node_loop<R: BufRead, W: Write>(
     degree: f64,
 ) -> Result<(), String> {
     let mut node: Option<GossipNode<Restartable<EgDistributed>>> = None;
+    let mut cluster = 0u32;
     let mut tick = 1u64;
     for line in input.lines() {
         let line = line.map_err(|e| format!("stdin: {e}"))?;
@@ -181,6 +182,13 @@ pub fn node_loop<R: BufRead, W: Write>(
         let msg = Message::from_line(&line)?;
         let replies = match (&mut node, &msg.body) {
             (slot @ None, Body::Init { msg_id, node_id, n }) => {
+                if *n == 0 {
+                    return Err("init: n must be at least 1, got 0".into());
+                }
+                if *node_id >= *n {
+                    return Err(format!("init: node_id {node_id} out of range for n = {n}"));
+                }
+                cluster = *n;
                 let n = *n as usize;
                 let p = (degree / n.max(1) as f64).min(1.0);
                 let mut fresh = GossipNode::new(
@@ -202,6 +210,13 @@ pub fn node_loop<R: BufRead, W: Write>(
             (None, _) => return Err(format!("first message must be init, got {line}")),
             (Some(_), Body::Init { .. }) => return Err("duplicate init".into()),
             (Some(node), body) => {
+                if let Body::Topology { neighbors, .. } = body {
+                    if let Some(v) = neighbors.iter().find(|&&v| v >= cluster) {
+                        return Err(format!(
+                            "topology: neighbors entry {v} out of range for n = {cluster}"
+                        ));
+                    }
+                }
                 if let Body::Tick { tick: t } = body {
                     tick = (*t).max(tick);
                 }
@@ -369,5 +384,21 @@ mod tests {
         let mut out = Vec::new();
         assert!(node_loop(broadcast_first.as_bytes(), &mut out, 7, 12.0).is_err());
         assert!(node_loop("not json\n".as_bytes(), &mut out, 7, 12.0).is_err());
+        let init = |node_id: u32, n: u32| {
+            format!(
+                "{{\"src\":4294967295,\"dest\":0,\"body\":{{\"type\":\"init\",\
+                 \"msg_id\":1,\"node_id\":{node_id},\"n\":{n}}}}}\n"
+            )
+        };
+        let topology = "{\"src\":4294967295,\"dest\":0,\"body\":{\"type\":\"topology\",\
+                        \"msg_id\":2,\"neighbors\":[9,99]}}\n";
+        for (input, field) in [
+            (init(7, 0), "n must be at least 1"),
+            (init(3, 3), "node_id 3 out of range"),
+            (init(0, 3) + topology, "neighbors entry 9 out of range"),
+        ] {
+            let err = node_loop(input.as_bytes(), &mut out, 7, 12.0).unwrap_err();
+            assert!(err.contains(field), "{input}: {err}");
+        }
     }
 }

@@ -8,12 +8,17 @@
 //!
 //! [`RoundEngine`] owns two interchangeable kernels for this rule — the
 //! CSR-walking *sparse* kernel below and the bit-parallel *dense* kernel in
-//! [`crate::kernel`] — selected per round by [`EngineKernel`].  All scratch
-//! (hit counts, transmitter mask, the effective-transmitter list, bit
-//! planes) is kept between rounds, so a full broadcast run allocates `O(n)`
-//! once.
+//! [`crate::kernel`] — selected per round by [`EngineKernel`].  Each kernel
+//! has one round body.  Faults (see [`crate::fault`]) only narrow the rule
+//! — blocked nodes neither transmit nor receive, a jammer counts two hits
+//! at every listener it reaches, burst-bad listeners lose the reception —
+//! so a faulty round is the same body run under an optional
+//! [`FaultSession`], and a fault-free round is simply one with no session.
+//! All scratch (hit counts, transmitter mask, the effective-transmitter
+//! list, bit planes) is kept between rounds, so a full broadcast run
+//! allocates `O(n)` once.
 
-use radio_graph::{Graph, NodeId};
+use radio_graph::{Graph, NodeId, Xoshiro256pp};
 
 use crate::bitset::BitSet;
 use crate::fault::FaultSession;
@@ -62,9 +67,6 @@ pub struct RoundEngine<'g> {
     hits: Vec<u32>,
     /// Scratch: nodes whose `hits` entry is dirty.
     touched: Vec<NodeId>,
-    /// Scratch: nodes in range of at least one jammer this round (faulty
-    /// rounds only; always zeroed between rounds).
-    jam_hit: BitSet,
     /// Scratch: transmitter membership (word-packed; the dense kernel masks
     /// receptions with its raw words).
     is_transmitter: BitSet,
@@ -91,7 +93,6 @@ impl<'g> RoundEngine<'g> {
             graph,
             hits: vec![0; graph.n()],
             touched: Vec::new(),
-            jam_hit: BitSet::new(graph.n()),
             is_transmitter: BitSet::new(graph.n()),
             active: Vec::new(),
             policy,
@@ -178,7 +179,7 @@ impl<'g> RoundEngine<'g> {
         transmitters: &[NodeId],
         round: u32,
     ) -> RoundOutcome {
-        self.execute_round_with(state, transmitters, round, |_| true, false)
+        self.execute_with(state, transmitters, round, None, |_| true, false)
     }
 
     /// Like [`RoundEngine::execute_round`], but each otherwise-successful
@@ -195,13 +196,20 @@ impl<'g> RoundEngine<'g> {
         transmitters: &[NodeId],
         round: u32,
         loss_prob: f64,
-        rng: &mut radio_graph::Xoshiro256pp,
+        rng: &mut Xoshiro256pp,
     ) -> RoundOutcome {
         assert!(
             (0.0..=1.0).contains(&loss_prob),
             "loss_prob must be within [0, 1], got {loss_prob}"
         );
-        self.execute_round_with(state, transmitters, round, |_| !rng.coin(loss_prob), true)
+        self.execute_with(
+            state,
+            transmitters,
+            round,
+            None,
+            |_| !rng.coin(loss_prob),
+            true,
+        )
     }
 
     /// Executes one round under a fault session (see [`crate::fault`]):
@@ -222,13 +230,61 @@ impl<'g> RoundEngine<'g> {
         round: u32,
         session: &FaultSession<'_>,
         loss_prob: f64,
-        rng: &mut radio_graph::Xoshiro256pp,
+        rng: &mut Xoshiro256pp,
     ) -> RoundOutcome {
+        self.execute_round_with(state, transmitters, round, Some(session), loss_prob, rng)
+    }
+
+    /// One round of a scalar run: under `session` if there is one, with
+    /// i.i.d. loss `loss_prob` on top.  Without a session this is the
+    /// plain round, or the lossy one when `loss_prob > 0`.
+    pub(crate) fn execute_round_with(
+        &mut self,
+        state: &mut BroadcastState,
+        transmitters: &[NodeId],
+        round: u32,
+        session: Option<&FaultSession<'_>>,
+        loss_prob: f64,
+        rng: &mut Xoshiro256pp,
+    ) -> RoundOutcome {
+        let Some(s) = session else {
+            return if loss_prob > 0.0 {
+                self.execute_round_lossy(state, transmitters, round, loss_prob, rng)
+            } else {
+                self.execute_round(state, transmitters, round)
+            };
+        };
         assert!(
             (0.0..=1.0).contains(&loss_prob),
             "loss_prob must be within [0, 1], got {loss_prob}"
         );
+        // Burst veto first, without a coin: the loss coin is only drawn for
+        // receptions the burst channel lets through (the multi-lane
+        // engines replay exactly this order).
+        let deliver = |w| !s.burst_bad(w) && (loss_prob <= 0.0 || !rng.coin(loss_prob));
+        self.execute_with(state, transmitters, round, session, deliver, true)
+    }
+
+    /// The round body; `deliver` is consulted once per would-be-successful
+    /// reception and may veto it (fault injection).
+    ///
+    /// When `deliver` can draw a coin (`canonical_order`: lossy or
+    /// faulty rounds), receptions are resolved in ascending node-id order
+    /// — the dense kernel's natural order — keeping the two kernels' RNG
+    /// draw sequences identical.
+    fn execute_with(
+        &mut self,
+        state: &mut BroadcastState,
+        transmitters: &[NodeId],
+        round: u32,
+        session: Option<&FaultSession<'_>>,
+        deliver: impl FnMut(NodeId) -> bool,
+        canonical_order: bool,
+    ) -> RoundOutcome {
         debug_assert_eq!(state.n(), self.graph.n());
+
+        // Build the effective (deduplicated, policy-filtered, unmuted)
+        // transmitter set into the reused scratch list and its bit mask.
         let mut active = std::mem::take(&mut self.active);
         active.clear();
         for &t in transmitters {
@@ -238,14 +294,14 @@ impl<'g> RoundEngine<'g> {
             if self.policy == TransmitterPolicy::InformedOnly && !state.is_informed(t) {
                 continue;
             }
-            if session.mute(t) {
+            if session.is_some_and(|s| s.mute(t)) {
                 continue;
             }
             self.is_transmitter.set(t as usize);
             active.push(t);
         }
         // Jammers occupy the channel too: they cannot receive this round.
-        let jammers = session.jammers();
+        let jammers = session.map_or(&[][..], |s| s.jammers());
         for &j in jammers {
             self.is_transmitter.set(j as usize);
         }
@@ -266,35 +322,32 @@ impl<'g> RoundEngine<'g> {
             }
         };
 
-        // Burst veto first, without a coin: the loss coin is only drawn for
-        // receptions the burst channel lets through (the multi-lane
-        // engines replay exactly this order).
-        let mut deliver =
-            |w: NodeId| !session.burst_bad(w) && (loss_prob <= 0.0 || !rng.coin(loss_prob));
-
+        let blocked = session.map(|s| s.blocked());
         let outcome = if use_dense {
             self.dense_rounds += 1;
-            self.dense.execute_faulty(
+            self.dense.execute(
                 state,
                 &active,
                 jammers,
                 &self.is_transmitter,
-                session.blocked(),
+                blocked,
                 round,
                 deliver,
             )
         } else {
             self.sparse_rounds += 1;
-            self.execute_sparse_faulty(
+            self.execute_sparse(
                 state,
                 &active,
                 jammers,
-                session.blocked(),
+                blocked,
                 round,
-                &mut deliver,
+                deliver,
+                canonical_order,
             )
         };
 
+        // Reset the transmitter mask and hand the list back for reuse.
         for &t in active.iter().chain(jammers) {
             self.is_transmitter.unset(t as usize);
         }
@@ -302,94 +355,41 @@ impl<'g> RoundEngine<'g> {
         outcome
     }
 
-    /// Core round logic; `deliver` is consulted once per would-be-successful
-    /// reception and may veto it (fault injection).
-    ///
-    /// When `deliver` is stateful (`canonical_order`), receptions are
-    /// resolved in ascending node-id order — the dense kernel's natural
-    /// order — keeping the two kernels' RNG draw sequences identical.
-    fn execute_round_with(
-        &mut self,
-        state: &mut BroadcastState,
-        transmitters: &[NodeId],
-        round: u32,
-        mut deliver: impl FnMut(NodeId) -> bool,
-        canonical_order: bool,
-    ) -> RoundOutcome {
-        debug_assert_eq!(state.n(), self.graph.n());
-
-        // Build the effective transmitter set into the reused scratch list
-        // and its bit mask.
-        let mut active = std::mem::take(&mut self.active);
-        active.clear();
-        for &t in transmitters {
-            if self.is_transmitter.get(t as usize) {
-                continue; // duplicate
-            }
-            if self.policy == TransmitterPolicy::InformedOnly && !state.is_informed(t) {
-                continue;
-            }
-            self.is_transmitter.set(t as usize);
-            active.push(t);
-        }
-
-        let use_dense = match self.kernel {
-            EngineKernel::Sparse => false,
-            EngineKernel::Dense => self.dense.ensure_ready(self.graph),
-            EngineKernel::Auto => {
-                let words = self.graph.n().div_ceil(64) as u64;
-                let sum_deg: u64 = active.iter().map(|&t| self.graph.degree(t) as u64).sum();
-                dense_is_cheaper(sum_deg, active.len() as u64, words)
-                    && self.dense.fits_cap(self.graph)
-                    && self.dense.ensure_ready(self.graph)
-            }
-        };
-
-        let outcome = if use_dense {
-            self.dense_rounds += 1;
-            self.dense
-                .execute(state, &active, &self.is_transmitter, round, deliver)
-        } else {
-            self.sparse_rounds += 1;
-            self.execute_sparse(state, &active, round, &mut deliver, canonical_order)
-        };
-
-        // Reset the transmitter mask and hand the list back for reuse.
-        for &t in &active {
-            self.is_transmitter.unset(t as usize);
-        }
-        self.active = active;
-        outcome
-    }
-
     /// The CSR-walking kernel: count transmitting neighbors per reached
-    /// node, then resolve exactly-one receptions.
+    /// node, then resolve exactly-one receptions.  A jammer counts two
+    /// hits at every listener it reaches (a collision, never a delivery),
+    /// and `blocked` nodes cannot receive.
+    #[allow(clippy::too_many_arguments)]
     fn execute_sparse(
         &mut self,
         state: &mut BroadcastState,
         active: &[NodeId],
+        jammers: &[NodeId],
+        blocked: Option<&BitSet>,
         round: u32,
-        deliver: &mut impl FnMut(NodeId) -> bool,
+        mut deliver: impl FnMut(NodeId) -> bool,
         canonical_order: bool,
     ) -> RoundOutcome {
         let mut outcome = RoundOutcome {
-            transmitters: active.len(),
+            transmitters: active.len() + jammers.len(),
             ..RoundOutcome::default()
         };
 
         // Count transmitting neighbors of every reached node.
-        for &t in active {
-            for &w in self.graph.neighbors(t) {
-                if self.hits[w as usize] == 0 {
-                    self.touched.push(w);
+        for (ts, weight) in [(active, 1), (jammers, 2)] {
+            for &t in ts {
+                for &w in self.graph.neighbors(t) {
+                    if self.hits[w as usize] == 0 {
+                        self.touched.push(w);
+                    }
+                    self.hits[w as usize] += weight;
                 }
-                self.hits[w as usize] += 1;
             }
         }
 
         // A stateful `deliver` must see receptions in ascending node id to
-        // match the dense kernel draw-for-draw; with the constant-true
-        // closure the outcome is order-invariant and the sort is skipped.
+        // match the dense kernel draw-for-draw; when it cannot draw a coin
+        // the outcome is order-invariant and the sort is skipped.
         if canonical_order {
             self.touched.sort_unstable();
         }
@@ -399,7 +399,10 @@ impl<'g> RoundEngine<'g> {
             let w = self.touched[i];
             let h = self.hits[w as usize];
             if self.is_transmitter.get(w as usize) {
-                continue; // transmitting, not listening
+                continue; // transmitting (or jamming), not listening
+            }
+            if blocked.is_some_and(|b| b.get(w as usize)) {
+                continue; // crashed or asleep: deaf
             }
             if !state.is_informed(w) {
                 outcome.reached += 1;
@@ -417,74 +420,6 @@ impl<'g> RoundEngine<'g> {
         // Reset scratch.
         for &w in &self.touched {
             self.hits[w as usize] = 0;
-        }
-        self.touched.clear();
-        outcome
-    }
-
-    /// The sparse kernel under faults: jammer noise counts as extra hits
-    /// (and marks `jam_hit`, so a lone jammer hit is a collision, not a
-    /// delivery), and blocked nodes cannot receive.  Receptions are always
-    /// resolved in ascending node-id order — `deliver` is stateful here.
-    fn execute_sparse_faulty(
-        &mut self,
-        state: &mut BroadcastState,
-        active: &[NodeId],
-        jammers: &[NodeId],
-        blocked: &BitSet,
-        round: u32,
-        deliver: &mut impl FnMut(NodeId) -> bool,
-    ) -> RoundOutcome {
-        let mut outcome = RoundOutcome {
-            transmitters: active.len() + jammers.len(),
-            ..RoundOutcome::default()
-        };
-
-        for &t in active {
-            for &w in self.graph.neighbors(t) {
-                if self.hits[w as usize] == 0 {
-                    self.touched.push(w);
-                }
-                self.hits[w as usize] += 1;
-            }
-        }
-        for &j in jammers {
-            for &w in self.graph.neighbors(j) {
-                if self.hits[w as usize] == 0 {
-                    self.touched.push(w);
-                }
-                self.hits[w as usize] += 1;
-                self.jam_hit.set(w as usize);
-            }
-        }
-
-        self.touched.sort_unstable();
-
-        for i in 0..self.touched.len() {
-            let w = self.touched[i];
-            let h = self.hits[w as usize];
-            if self.is_transmitter.get(w as usize) {
-                continue; // transmitting (or jamming), not listening
-            }
-            if blocked.get(w as usize) {
-                continue; // crashed or asleep: deaf
-            }
-            if !state.is_informed(w) {
-                outcome.reached += 1;
-                if h == 1 && !self.jam_hit.get(w as usize) {
-                    if deliver(w) {
-                        state.inform(w, round);
-                        outcome.newly_informed += 1;
-                    }
-                } else {
-                    outcome.collisions += 1;
-                }
-            }
-        }
-
-        for &w in &self.touched {
-            self.hits[w as usize] = 0;
-            self.jam_hit.unset(w as usize);
         }
         self.touched.clear();
         outcome

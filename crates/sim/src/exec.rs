@@ -65,11 +65,9 @@ use radio_graph::{child_rng, Graph, GraphProvider, NodeId, Xoshiro256pp};
 use crate::fault::FaultPlan;
 use crate::kernel::EngineKernel;
 use crate::observer::{NoopObserver, RunObserver};
-use crate::protocol::{
-    scalar_faulty_observed_core, scalar_observed_core, Protocol, RunConfig, MAX_LANES,
-};
+use crate::protocol::{scalar_observed_core, Protocol, RunConfig, MAX_LANES};
 use crate::state::BroadcastState;
-use crate::sweep::{run_sweep_faulty_core, run_sweep_lanes_core, run_sweep_scalar_core, Backend};
+use crate::sweep::{run_sweep_lanes_core, run_sweep_scalar_core, Backend};
 use crate::tiled::{run_tiled_core, MAX_TILED_LANES};
 use crate::trace::RunResult;
 
@@ -109,7 +107,7 @@ impl StartState {
     fn single_source(&self) -> NodeId {
         match self {
             StartState::Source(s) => *s,
-            _ => panic!("this execution plan requires a single source node"),
+            _ => unreachable!("RunSpec::plan admits only single-source starts here"),
         }
     }
 }
@@ -323,14 +321,15 @@ impl<'a> RunSpec<'a> {
     }
 
     /// Multi-source start: every node of `sources` is informed at round
-    /// 0.  Requires a scalar explicit plan (lanes = 1, no faults).
+    /// 0.  Requires a scalar explicit plan (lanes = 1, no faults);
+    /// [`RunSpec::plan`] panics otherwise.
     pub fn with_sources(mut self, sources: &[NodeId]) -> Self {
         self.start = StartState::Sources(sources.to_vec());
         self
     }
 
     /// Arbitrary initial knowledge state.  Requires a scalar explicit
-    /// plan (lanes = 1, no faults).
+    /// plan (lanes = 1, no faults); [`RunSpec::plan`] panics otherwise.
     pub fn with_state(mut self, state: BroadcastState) -> Self {
         self.start = StartState::State(state);
         self
@@ -351,8 +350,8 @@ impl<'a> RunSpec<'a> {
     ///
     /// If `lanes` is 0, exceeds the engine family's cap
     /// ([`MAX_TILED_LANES`] explicit, [`MAX_LANES`] provider), or the
-    /// spec combines multi-source/custom-state starts with a multi-lane
-    /// or provider plan.
+    /// spec combines a multi-source/custom-state start with faults, a
+    /// multi-lane plan or a provider sweep.
     pub fn plan(&self) -> Plan {
         let lanes = self.lanes;
         assert!(lanes >= 1, "lanes must be >= 1, got {lanes}");
@@ -374,7 +373,7 @@ impl<'a> RunSpec<'a> {
                 threads: self.threads,
             }
         };
-        match &self.graph {
+        let plan = match &self.graph {
             GraphSource::Csr(_) => explicit_plan(),
             GraphSource::Provider { provider, shards } => {
                 let explicit = provider.as_explicit().is_some();
@@ -405,7 +404,31 @@ impl<'a> RunSpec<'a> {
                     }
                 }
             }
-        }
+        };
+        self.check_start(&plan);
+        plan
+    }
+
+    /// Panics unless `plan` can run this spec's start: only the scalar
+    /// round engine without faults takes several sources or a custom
+    /// state.  The lane engines and the sweeps start from one source, and
+    /// the [`crate::FaultSummary`] measures reachability from it.
+    fn check_start(&self, plan: &Plan) {
+        let start = match self.start {
+            StartState::Source(_) => return,
+            StartState::Sources(_) => "multi-source",
+            StartState::State(_) => "custom-state",
+        };
+        let conflict = match (self.fault_plan, plan.engine) {
+            (Some(_), _) => "faults".to_string(),
+            (None, PlannedEngine::Round(_)) => return,
+            _ if plan.lanes > 1 => format!("{} lanes", plan.lanes),
+            _ => format!("the {} backend", plan.backend),
+        };
+        panic!(
+            "a {start} start cannot be combined with {conflict}: it needs a scalar, \
+             fault-free run on explicit adjacency"
+        );
     }
 
     /// Executes the planned run, seeding lane `l` with
@@ -421,19 +444,16 @@ impl<'a> RunSpec<'a> {
                 let mut rng = child_rng(self.master_seed, 0);
                 vec![self.exec_sweep(&plan, protocol, &mut rng)]
             }
-            PlannedEngine::Tiled => {
-                let (graph, source) = self.explicit_graph();
-                run_tiled_core(
-                    graph,
-                    source,
-                    protocol,
-                    self.config,
-                    self.fault_plan,
-                    self.master_seed,
-                    plan.lanes,
-                    self.threads,
-                )
-            }
+            PlannedEngine::Tiled => run_tiled_core(
+                self.explicit_graph(),
+                self.start.single_source(),
+                protocol,
+                self.config,
+                self.fault_plan,
+                self.master_seed,
+                plan.lanes,
+                self.threads,
+            ),
             PlannedEngine::LaneSweep => {
                 let (provider, shards) = self.provider_and_shards(&plan);
                 run_sweep_lanes_core(
@@ -509,14 +529,13 @@ impl<'a> RunSpec<'a> {
         }
     }
 
-    fn explicit_graph(&self) -> (&'a Graph, NodeId) {
-        let graph = match &self.graph {
-            GraphSource::Csr(g) => *g,
+    fn explicit_graph(&self) -> &'a Graph {
+        match &self.graph {
+            GraphSource::Csr(g) => g,
             GraphSource::Provider { provider, .. } => provider
                 .as_explicit()
                 .expect("planned an explicit engine on a non-explicit provider"),
-        };
-        (graph, self.start.single_source())
+        }
     }
 
     fn exec_round<P: Protocol + ?Sized, O: RunObserver>(
@@ -525,27 +544,17 @@ impl<'a> RunSpec<'a> {
         rng: &mut Xoshiro256pp,
         observer: &mut O,
     ) -> RunResult {
-        let graph = match &self.graph {
-            GraphSource::Csr(g) => *g,
-            GraphSource::Provider { provider, .. } => provider
-                .as_explicit()
-                .expect("planned Round on a non-explicit provider"),
-        };
-        match self.fault_plan {
-            Some(fp) => scalar_faulty_observed_core(
-                graph,
-                self.start.single_source(),
-                protocol,
-                self.config,
-                fp,
-                rng,
-                observer,
-            ),
-            None => {
-                let state = self.start.to_state(graph.n());
-                scalar_observed_core(graph, state, protocol, self.config, rng, observer)
-            }
-        }
+        let graph = self.explicit_graph();
+        let state = self.start.to_state(graph.n());
+        scalar_observed_core(
+            graph,
+            state,
+            protocol,
+            self.config,
+            self.fault_plan,
+            rng,
+            observer,
+        )
     }
 
     fn provider_and_shards(&self, plan: &Plan) -> (&'a dyn GraphProvider, usize) {
@@ -562,13 +571,15 @@ impl<'a> RunSpec<'a> {
         rng: &mut Xoshiro256pp,
     ) -> RunResult {
         let (provider, shards) = self.provider_and_shards(plan);
-        let source = self.start.single_source();
-        match self.fault_plan {
-            None => run_sweep_scalar_core(provider, shards, source, protocol, self.config, rng),
-            Some(fp) => {
-                run_sweep_faulty_core(provider, shards, source, protocol, self.config, fp, rng)
-            }
-        }
+        run_sweep_scalar_core(
+            provider,
+            shards,
+            self.start.single_source(),
+            protocol,
+            self.config,
+            self.fault_plan,
+            rng,
+        )
     }
 }
 
@@ -711,6 +722,7 @@ mod tests {
             BroadcastState::new(300, 0),
             &mut HalfCoin,
             cfg,
+            None,
             &mut rng,
             &mut NoopObserver,
         );
@@ -737,6 +749,7 @@ mod tests {
                 BroadcastState::new(200, 0),
                 &mut HalfCoin,
                 cfg,
+                None,
                 &mut rng,
                 &mut NoopObserver,
             );
@@ -767,5 +780,48 @@ mod tests {
     fn zero_lanes_rejected() {
         let g = Graph::path(3);
         let _ = RunSpec::on_graph(&g, 0).with_lanes(0).plan();
+    }
+
+    /// The legal multi-source spec (scalar, fault-free, explicit
+    /// adjacency) plans the round engine.
+    #[test]
+    fn multi_source_scalar_run_plans_round() {
+        let g = Graph::path(8);
+        let plan = RunSpec::on_graph(&g, 0).with_sources(&[0, 5]).plan();
+        assert_eq!(plan.engine, PlannedEngine::Round(EngineKernel::Auto));
+        let plan = RunSpec::on_provider(&g, 1, 0)
+            .with_state(BroadcastState::with_sources(8, &[0, 5]))
+            .plan();
+        assert_eq!(plan.engine, PlannedEngine::Round(EngineKernel::Auto));
+    }
+
+    #[test]
+    #[should_panic(expected = "a multi-source start cannot be combined with 8 lanes")]
+    fn multi_source_lanes_rejected_at_plan() {
+        let g = Graph::path(8);
+        let _ = RunSpec::on_graph(&g, 0)
+            .with_sources(&[0, 5])
+            .with_lanes(8)
+            .plan();
+    }
+
+    #[test]
+    #[should_panic(expected = "a multi-source start cannot be combined with faults")]
+    fn multi_source_faults_rejected_at_plan() {
+        let g = Graph::path(8);
+        let faults = FaultPlan::new(8);
+        let _ = RunSpec::on_graph(&g, 0)
+            .with_sources(&[0, 5])
+            .with_faults(&faults)
+            .plan();
+    }
+
+    #[test]
+    #[should_panic(expected = "a custom-state start cannot be combined with the implicit backend")]
+    fn custom_state_provider_rejected_at_plan() {
+        let imp = ImplicitGnp::new(100, 0.1, 1);
+        let _ = RunSpec::on_provider(&imp, 1, 0)
+            .with_state(BroadcastState::with_sources(100, &[0, 5]))
+            .plan();
     }
 }

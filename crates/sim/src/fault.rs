@@ -31,7 +31,7 @@
 //! surviving subgraph, and how many of those were left uninformed.
 
 use radio_graph::components::DisjointSets;
-use radio_graph::{Graph, NodeId, Xoshiro256pp};
+use radio_graph::{Graph, GraphProvider, NodeId, Xoshiro256pp};
 
 use crate::bitset::BitSet;
 
@@ -727,13 +727,7 @@ impl<'p> FaultSession<'p> {
     /// steps every burst channel by one coin.  Returns the plan events
     /// that became effective this round.
     pub fn begin_round(&mut self, round: u32, rng: &mut Xoshiro256pp) -> &'p [FaultEvent] {
-        let fired = advance_faults(
-            self.plan,
-            round,
-            &mut self.cursor,
-            &mut self.blocked,
-            &mut self.jammers,
-        );
+        let fired = self.advance(round);
         if let Some(b) = self.plan.burst {
             for v in 0..self.plan.n {
                 if self.burst_bad.get(v) {
@@ -746,6 +740,40 @@ impl<'p> FaultSession<'p> {
             }
         }
         fired
+    }
+
+    /// The lane-independent part of [`FaultSession::begin_round`]:
+    /// crashes, wake-ups and the live jammer set, without burst coins.
+    fn advance(&mut self, round: u32) -> &'p [FaultEvent] {
+        let plan = self.plan;
+        let start = self.cursor;
+        while let Some(ev) = plan.events.get(self.cursor) {
+            if ev.round > round {
+                break;
+            }
+            match ev.kind {
+                FaultEventKind::Crash => self.blocked.set(ev.node as usize),
+                // A wake-up never revives a node that has already crashed;
+                // checking the crash round (not event order) makes
+                // same-round crash-vs-wake order-independent.
+                FaultEventKind::Wake => {
+                    if plan.crash_round[ev.node as usize] > round {
+                        self.blocked.unset(ev.node as usize);
+                    }
+                }
+                // Jamming is recomputed from the windows below; the events
+                // exist for tracing only.
+                FaultEventKind::JamStart | FaultEventKind::JamStop => {}
+            }
+            self.cursor += 1;
+        }
+        self.jammers.clear();
+        for &(v, from, to) in &plan.jams {
+            if from <= round && round <= to && !self.blocked.get(v as usize) {
+                self.jammers.push(v);
+            }
+        }
+        &plan.events[start..self.cursor]
     }
 
     /// Nodes that currently neither transmit nor receive (crashed or
@@ -773,54 +801,15 @@ impl<'p> FaultSession<'p> {
     }
 }
 
-/// Shared fault-advance logic of the scalar and lane-batched sessions.
-fn advance_faults<'p>(
-    plan: &'p FaultPlan,
-    round: u32,
-    cursor: &mut usize,
-    blocked: &mut BitSet,
-    jammers: &mut Vec<NodeId>,
-) -> &'p [FaultEvent] {
-    let start = *cursor;
-    while let Some(ev) = plan.events.get(*cursor) {
-        if ev.round > round {
-            break;
-        }
-        match ev.kind {
-            FaultEventKind::Crash => blocked.set(ev.node as usize),
-            // A wake-up never revives a node that has already crashed;
-            // checking the crash round (not event order) makes same-round
-            // crash-vs-wake order-independent.
-            FaultEventKind::Wake => {
-                if plan.crash_round[ev.node as usize] > round {
-                    blocked.unset(ev.node as usize);
-                }
-            }
-            // Jamming is recomputed from the windows below; the events
-            // exist for tracing only.
-            FaultEventKind::JamStart | FaultEventKind::JamStop => {}
-        }
-        *cursor += 1;
-    }
-    jammers.clear();
-    for &(v, from, to) in &plan.jams {
-        if from <= round && round <= to && !blocked.get(v as usize) {
-            jammers.push(v);
-        }
-    }
-    &plan.events[start..*cursor]
-}
-
 /// The lane-batched counterpart of [`FaultSession`]: fault state is shared
 /// across lanes (the plan is per-node, not per-trial), but each lane owns
 /// a private burst-channel word so its coin stream matches the scalar run
 /// on the same RNG.
 #[derive(Debug)]
 pub(crate) struct LaneFaultSession<'p> {
-    plan: &'p FaultPlan,
-    blocked: BitSet,
-    jammers: Vec<NodeId>,
-    cursor: usize,
+    /// The shared crash/sleep/jam state (its scalar burst channels stay
+    /// unused).
+    faults: FaultSession<'p>,
     /// Lane groups of 64: 1 for the provider lane sweep, up to 16 for
     /// the tiled engine.
     groups: usize,
@@ -837,17 +826,8 @@ impl<'p> LaneFaultSession<'p> {
     /// A session tracking `groups × 64` lanes of burst-channel state.
     pub(crate) fn new_grouped(plan: &'p FaultPlan, groups: usize) -> LaneFaultSession<'p> {
         assert!(groups >= 1, "need at least one lane group");
-        let mut blocked = BitSet::new(plan.n);
-        for v in 0..plan.n {
-            if plan.wake_round[v] > 1 {
-                blocked.set(v);
-            }
-        }
         LaneFaultSession {
-            plan,
-            blocked,
-            jammers: Vec::new(),
-            cursor: 0,
+            faults: FaultSession::new(plan),
             groups,
             burst_bad: vec![0; plan.n * groups],
         }
@@ -867,14 +847,8 @@ impl<'p> LaneFaultSession<'p> {
         rngs: &mut [Xoshiro256pp],
     ) -> &'p [FaultEvent] {
         assert_eq!(active.len(), self.groups, "active mask per lane group");
-        let fired = advance_faults(
-            self.plan,
-            round,
-            &mut self.cursor,
-            &mut self.blocked,
-            &mut self.jammers,
-        );
-        if let Some(b) = self.plan.burst {
+        let fired = self.faults.advance(round);
+        if let Some(b) = self.faults.plan.burst {
             for words in self.burst_bad.chunks_exact_mut(self.groups) {
                 for (g, word) in words.iter_mut().enumerate() {
                     let mut m = active[g];
@@ -898,11 +872,11 @@ impl<'p> LaneFaultSession<'p> {
     }
 
     pub(crate) fn blocked_node(&self, v: NodeId) -> bool {
-        self.blocked.get(v as usize)
+        self.faults.blocked.get(v as usize)
     }
 
     pub(crate) fn jammers(&self) -> &[NodeId] {
-        &self.jammers
+        self.faults.jammers()
     }
 
     /// Lanes of group 0 whose burst channel at `v` is currently bad
@@ -918,7 +892,7 @@ impl<'p> LaneFaultSession<'p> {
     }
 
     pub(crate) fn mute(&self, v: NodeId) -> bool {
-        self.blocked.get(v as usize) || self.jammers.binary_search(&v).is_ok()
+        self.faults.mute(v)
     }
 }
 
@@ -954,6 +928,46 @@ impl LiveView {
                 .count(),
         }
     }
+}
+
+/// The end-of-run [`FaultSummary`] of every lane of a run under `plan`:
+/// lane `l` ended after `horizons[l]` rounds and `informed(l, v)` tells
+/// whether it informed `v`.
+///
+/// The live-subgraph BFS needs explicit adjacency, so a purely implicit
+/// `provider` is materialized **once** for the whole call (`O(n + m)`
+/// extra memory; fault-free runs never get here).  Lanes ending in the
+/// same round share one [`LiveView`].
+pub(crate) fn fault_summaries(
+    plan: &FaultPlan,
+    provider: &dyn GraphProvider,
+    source: NodeId,
+    horizons: &[u32],
+    informed: impl Fn(usize, NodeId) -> bool,
+) -> Vec<FaultSummary> {
+    let materialized;
+    let graph = match provider.as_explicit() {
+        Some(g) => g,
+        None => {
+            materialized = provider.materialize();
+            &materialized
+        }
+    };
+    let mut views: Vec<(u32, LiveView)> = Vec::new();
+    horizons
+        .iter()
+        .enumerate()
+        .map(|(l, &horizon)| {
+            let at = views
+                .iter()
+                .position(|(h, _)| *h == horizon)
+                .unwrap_or_else(|| {
+                    views.push((horizon, plan.live_view(graph, horizon, source)));
+                    views.len() - 1
+                });
+            views[at].1.summary(|v| informed(l, v))
+        })
+        .collect()
 }
 
 /// Graceful-degradation counters of one faulty run, reported through

@@ -23,13 +23,19 @@
 //! lossy delivery, which is pinned to ascending node id — so kernel choice
 //! is invisible to everything but wall-clock.  See `docs/PERF.md` for the
 //! calibration of the cost-model constants.
+//!
+//! Each kernel has one round body for faulty and fault-free rounds alike.
+//! A fault-free round is one without a fault session: no jammers and no
+//! blocked mask, so it reads no fault state.  Under a session a jammer's
+//! row counts twice (every listener it reaches collides) and blocked
+//! nodes are cleared from the counter planes before resolution.
 
 use radio_graph::{column_tiles, AdjacencyBitmap, Graph, NodeId};
 
 use crate::bitset::BitSet;
 use crate::engine::RoundOutcome;
 use crate::state::BroadcastState;
-use crate::wide::{merge_tile, or_tile};
+use crate::wide::merge_tile;
 
 /// Column-tile width (words) for the dense kernel's merge loops: 8 KiB
 /// per plane, so the `ge1`/`ge2`/row working set sits in L1 while every
@@ -139,9 +145,6 @@ pub(crate) struct DenseState {
     ge1: Vec<u64>,
     /// Plane 2: "≥ 2 transmitting neighbors" per node.
     ge2: Vec<u64>,
-    /// Jam plane: "≥ 1 jamming neighbor" per node (faulty rounds only;
-    /// lazily sized, always zeroed between rounds).
-    jam: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -162,7 +165,6 @@ impl DenseState {
             build_ns: None,
             ge1: Vec::new(),
             ge2: Vec::new(),
-            jam: Vec::new(),
         }
     }
 
@@ -213,14 +215,24 @@ impl DenseState {
     /// [`DenseState::ensure_ready`]; `active` must already be deduplicated
     /// and policy-filtered, with `transmitting` as its bit mask.
     ///
+    /// Faults only narrow the rule.  A jammer's row merges twice, so every
+    /// listener it reaches counts two hits or more: a collision, never a
+    /// delivery.  `transmitting` must then include the jammers (they hold
+    /// the channel and cannot receive), and nodes set in `blocked`
+    /// (crashed/asleep) hear nothing.  A fault-free round (no jammers,
+    /// `blocked` is `None`) reads no fault state at all.
+    ///
     /// `deliver` is consulted once per exactly-one reception in ascending
-    /// node-id order — the same order as the sparse kernel's lossy path —
-    /// so traces are byte-identical across kernels.
+    /// node-id order — the same order as the sparse kernel's coin-drawing
+    /// path — so traces are byte-identical across kernels.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute(
         &mut self,
         state: &mut BroadcastState,
         active: &[NodeId],
+        jammers: &[NodeId],
         transmitting: &BitSet,
+        blocked: Option<&BitSet>,
         round: u32,
         mut deliver: impl FnMut(NodeId) -> bool,
     ) -> RoundOutcome {
@@ -229,7 +241,7 @@ impl DenseState {
         };
         let (ge1, ge2) = (&mut self.ge1, &mut self.ge2);
         let mut outcome = RoundOutcome {
-            transmitters: active.len(),
+            transmitters: active.len() + jammers.len(),
             ..RoundOutcome::default()
         };
 
@@ -241,6 +253,16 @@ impl DenseState {
         for (lo, hi) in column_tiles(ge1.len(), DENSE_TILE_WORDS) {
             for &t in active {
                 merge_tile(&mut ge1[lo..hi], &mut ge2[lo..hi], &bitmap.row(t)[lo..hi]);
+            }
+            for &j in jammers.iter().chain(jammers) {
+                merge_tile(&mut ge1[lo..hi], &mut ge2[lo..hi], &bitmap.row(j)[lo..hi]);
+            }
+        }
+        // Blocked nodes are deaf: not reached, so neither a collision nor
+        // a delivery.
+        if let Some(blocked) = blocked {
+            for (g, &b) in ge1.iter_mut().zip(blocked.words()) {
+                *g &= !b;
             }
         }
 
@@ -261,80 +283,6 @@ impl DenseState {
 
         // Delivery sweep over the stashed exactly-one mask, clearing it as
         // we go so both planes end the round zeroed.
-        for (i, slot) in ge2.iter_mut().enumerate() {
-            let mut word = *slot;
-            *slot = 0;
-            while word != 0 {
-                let v = (i * 64 + word.trailing_zeros() as usize) as NodeId;
-                word &= word - 1;
-                if deliver(v) {
-                    state.inform(v, round);
-                    outcome.newly_informed += 1;
-                }
-            }
-        }
-        outcome
-    }
-
-    /// The dense kernel under faults.  Real transmitters merge through the
-    /// two counter planes as usual; jammer rows accumulate in a third
-    /// `jam` plane, so a node reached only by jammers still registers as
-    /// reached-with-collision, never as a delivery.  Nodes set in
-    /// `blocked` (crashed/asleep) are excluded from reception entirely.
-    ///
-    /// `transmitting` must already include the jammers (they hold the
-    /// channel and cannot receive).  Delivery order is ascending node id,
-    /// identical to [`DenseState::execute`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_faulty(
-        &mut self,
-        state: &mut BroadcastState,
-        active: &[NodeId],
-        jammers: &[NodeId],
-        transmitting: &BitSet,
-        blocked: &BitSet,
-        round: u32,
-        mut deliver: impl FnMut(NodeId) -> bool,
-    ) -> RoundOutcome {
-        if self.jam.len() != self.ge1.len() {
-            self.jam = vec![0; self.ge1.len()];
-        }
-        let BitmapSlot::Ready(bitmap) = &self.bitmap else {
-            unreachable!("dense round without a ready bitmap");
-        };
-        let (ge1, ge2, jam) = (&mut self.ge1, &mut self.ge2, &mut self.jam);
-        let mut outcome = RoundOutcome {
-            transmitters: active.len() + jammers.len(),
-            ..RoundOutcome::default()
-        };
-
-        for (lo, hi) in column_tiles(ge1.len(), DENSE_TILE_WORDS) {
-            for &t in active {
-                merge_tile(&mut ge1[lo..hi], &mut ge2[lo..hi], &bitmap.row(t)[lo..hi]);
-            }
-            for &j in jammers {
-                or_tile(&mut jam[lo..hi], &bitmap.row(j)[lo..hi]);
-            }
-        }
-
-        // Resolution sweep.  "Exactly one" now additionally requires a
-        // jam-free word position; everything else reached is a collision.
-        // ge1/jam carry no tail bits (adjacency rows are tail-clean), so
-        // the complements' tails cannot leak in.
-        let tx_words = transmitting.words();
-        let blocked_words = blocked.words();
-        let informed_words = state.informed_mask().words();
-        for i in 0..ge1.len() {
-            let eligible = !tx_words[i] & !blocked_words[i] & !informed_words[i];
-            let any = (ge1[i] | jam[i]) & eligible;
-            outcome.reached += any.count_ones() as usize;
-            let e1 = ge1[i] & !ge2[i] & !jam[i] & eligible;
-            outcome.collisions += (any & !e1).count_ones() as usize;
-            ge2[i] = e1;
-            ge1[i] = 0;
-            jam[i] = 0;
-        }
-
         for (i, slot) in ge2.iter_mut().enumerate() {
             let mut word = *slot;
             *slot = 0;

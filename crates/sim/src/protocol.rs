@@ -12,10 +12,10 @@
 //! [`crate::exec::RunSpec`] drives a protocol over a concrete graph with
 //! the exact collision semantics of [`RoundEngine`].
 
-use radio_graph::{Graph, NodeId, Xoshiro256pp};
+use radio_graph::{Graph, GraphProvider, NodeId, Xoshiro256pp};
 
-use crate::engine::RoundEngine;
-use crate::fault::{FaultEvent, FaultPlan, FaultSession};
+use crate::engine::{RoundEngine, RoundOutcome};
+use crate::fault::{fault_summaries, FaultEvent, FaultPlan, FaultSession};
 use crate::kernel::EngineKernel;
 use crate::observer::{RoundEvent, RunObserver};
 use crate::state::BroadcastState;
@@ -192,86 +192,71 @@ impl RunConfig {
 }
 
 /// Observer-instrumented scalar core: the execution body behind every
-/// fault-free [`crate::exec::RunSpec`] round-engine plan.
+/// [`crate::exec::RunSpec`] round-engine plan (see [`scalar_rounds`]).
 pub(crate) fn scalar_observed_core<P: Protocol + ?Sized, O: RunObserver>(
     graph: &Graph,
-    mut state: BroadcastState,
+    state: BroadcastState,
     protocol: &mut P,
     config: RunConfig,
+    plan: Option<&FaultPlan>,
     rng: &mut Xoshiro256pp,
     observer: &mut O,
 ) -> RunResult {
-    let n = graph.n();
-    assert_eq!(state.n(), n, "state size mismatch");
     let mut engine = RoundEngine::new(graph).with_kernel(config.kernel);
-    let mut tb = TraceBuilder::new(config.trace_level);
-    protocol.begin_run(n);
-    observer.on_run_start(n, state.informed_count());
-
-    let mut transmitters: Vec<NodeId> = Vec::new();
-    let mut round = 0u32;
-    while !state.is_complete() && round < config.max_rounds {
-        round += 1;
-        transmitters.clear();
-        for v in state.informed_nodes() {
-            let local = LocalNode {
-                id: v,
-                informed_round: state.informed_round(v).unwrap(),
-                round,
-            };
-            if protocol.transmits(local, rng) {
-                transmitters.push(v);
-            }
-        }
-        let started = observer.wants_timing().then(std::time::Instant::now);
-        let outcome = if config.loss_prob > 0.0 {
-            engine.execute_round_lossy(&mut state, &transmitters, round, config.loss_prob, rng)
-        } else {
-            engine.execute_round(&mut state, &transmitters, round)
-        };
-        let elapsed_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        tb.record(round, &outcome, state.informed_count());
-        observer.on_round(&RoundEvent::from_outcome(
-            round,
-            &outcome,
-            state.informed_count(),
-            elapsed_ns,
-        ));
-    }
-
-    let completed = state.is_complete();
-    let informed = state.informed_count();
-    observer.on_run_end(completed, round, informed);
-    let mut result = tb.finish(completed, round, informed, n);
+    let mut result = scalar_rounds(
+        graph,
+        state,
+        protocol,
+        config,
+        plan,
+        rng,
+        observer,
+        |state, transmitters, round, session, rng| {
+            engine.execute_round_with(state, transmitters, round, session, config.loss_prob, rng)
+        },
+    );
     result.kernel = engine.kernel_used();
     result
 }
 
-/// Observer-instrumented faulty scalar core: the execution body behind
-/// every faulted [`crate::exec::RunSpec`] round-engine plan.
+/// The round loop of every scalar run; `step` executes one round on the
+/// engine at hand (the round engine or the provider sweep).
 ///
-/// Crashed and sleeping nodes neither transmit nor receive; jammers force
-/// collisions on their neighborhoods; a node whose Gilbert–Elliott channel
-/// is in the bad state loses every reception that round.  Independent
-/// per-reception loss (`config.loss_prob`) composes on top.  See
-/// `docs/ROBUSTNESS.md` for the full semantics and the determinism
-/// contract.
+/// Without a fault `plan` there is no session and every round is the
+/// exact (or lossy) model.  Under a plan, crashed and sleeping nodes
+/// neither transmit nor receive; jammers force collisions on their
+/// neighborhoods; a node whose Gilbert–Elliott channel is in the bad
+/// state loses every reception that round; and the result carries the
+/// fault events and the [`crate::FaultSummary`] of the single source
+/// `state` starts from.  Independent per-reception loss
+/// (`config.loss_prob`) composes on top.  See `docs/ROBUSTNESS.md` for
+/// the full semantics and the determinism contract.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scalar_faulty_observed_core<P: Protocol + ?Sized, O: RunObserver>(
-    graph: &Graph,
-    source: NodeId,
+pub(crate) fn scalar_rounds<'p, P: Protocol + ?Sized, O: RunObserver>(
+    graph: &dyn GraphProvider,
+    mut state: BroadcastState,
     protocol: &mut P,
     config: RunConfig,
-    plan: &FaultPlan,
+    plan: Option<&'p FaultPlan>,
     rng: &mut Xoshiro256pp,
     observer: &mut O,
+    mut step: impl FnMut(
+        &mut BroadcastState,
+        &[NodeId],
+        u32,
+        Option<&FaultSession<'p>>,
+        &mut Xoshiro256pp,
+    ) -> RoundOutcome,
 ) -> RunResult {
     let n = graph.n();
-    assert_eq!(plan.n(), n, "fault plan size mismatch");
-    let mut state = BroadcastState::new(n, source);
-    let mut engine = RoundEngine::new(graph).with_kernel(config.kernel);
+    assert_eq!(state.n(), n, "state size mismatch");
+    let faulty = plan.map(|p| {
+        assert_eq!(p.n(), n, "fault plan size mismatch");
+        let source = state.informed_nodes().next();
+        (p, source.expect("a faulty run starts from a source"))
+    });
+    let mut session = plan.map(FaultSession::new);
     let mut tb = TraceBuilder::new(config.trace_level);
-    let mut session = FaultSession::new(plan);
     protocol.begin_run(n);
     observer.on_run_start(n, state.informed_count());
 
@@ -281,16 +266,18 @@ pub(crate) fn scalar_faulty_observed_core<P: Protocol + ?Sized, O: RunObserver>(
     while !state.is_complete() && round < config.max_rounds {
         round += 1;
         // Faults fire (and burst channels step) before any decision coin.
-        let fired = session.begin_round(round, rng);
-        for ev in fired {
-            observer.on_fault(ev);
+        if let Some(s) = session.as_mut() {
+            let fired = s.begin_round(round, rng);
+            for ev in fired {
+                observer.on_fault(ev);
+            }
+            fault_events.extend_from_slice(fired);
         }
-        fault_events.extend_from_slice(fired);
 
         transmitters.clear();
         for v in state.informed_nodes() {
             // Crashed, asleep, and jamming nodes draw no decision coin.
-            if session.mute(v) {
+            if session.as_ref().is_some_and(|s| s.mute(v)) {
                 continue;
             }
             let local = LocalNode {
@@ -303,14 +290,7 @@ pub(crate) fn scalar_faulty_observed_core<P: Protocol + ?Sized, O: RunObserver>(
             }
         }
         let started = observer.wants_timing().then(std::time::Instant::now);
-        let outcome = engine.execute_round_faulty(
-            &mut state,
-            &transmitters,
-            round,
-            &session,
-            config.loss_prob,
-            rng,
-        );
+        let outcome = step(&mut state, &transmitters, round, session.as_ref(), rng);
         let elapsed_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
         tb.record(round, &outcome, state.informed_count());
         observer.on_round(&RoundEvent::from_outcome(
@@ -324,13 +304,11 @@ pub(crate) fn scalar_faulty_observed_core<P: Protocol + ?Sized, O: RunObserver>(
     let completed = state.is_complete();
     let informed = state.informed_count();
     observer.on_run_end(completed, round, informed);
-    let summary = plan
-        .live_view(graph, round, source)
-        .summary(|v| state.is_informed(v));
     let mut result = tb.finish(completed, round, informed, n);
-    result.kernel = engine.kernel_used();
     result.fault_events = fault_events;
-    result.faults = Some(summary);
+    result.faults = faulty.map(|(p, source)| {
+        fault_summaries(p, graph, source, &[round], |_, v| state.is_informed(v))[0]
+    });
     result
 }
 

@@ -7,14 +7,13 @@
 //! `u` transmits and vice versa — so it runs unmodified on backends that
 //! have no stored adjacency at all ([`ImplicitGnp`]).  Hit counters saturate
 //! at 2 (the radio rule only distinguishes "exactly one" from "two or
-//! more"), and jammer noise marks a separate jam bit, exactly as in the
-//! sparse kernel.
+//! more"), and a jammer counts two hits, exactly as in the sparse kernel.
 //!
 //! ## Sharding
 //!
 //! The edge sweep is embarrassingly parallel over row ranges: each shard
 //! owns a disjoint range of rows (forward edges are owned by their lower
-//! endpoint) and a private `(hits, jam)` scratch.  At the round barrier the
+//! endpoint) and a private hit-counter scratch.  At the round barrier the
 //! per-shard counters merge with saturating addition — `min(2, a + b)` is
 //! exact for the only distinction that matters and commutative, so the
 //! merged state is **independent of the shard count**.  All coins (loss,
@@ -40,11 +39,12 @@ use std::ops::Range;
 
 use crate::bitset::BitSet;
 use crate::engine::RoundOutcome;
-use crate::fault::{FaultEvent, FaultPlan, FaultSession, LaneFaultSession, LiveView};
+use crate::fault::{fault_summaries, FaultEvent, FaultPlan, FaultSession, LaneFaultSession};
 use crate::kernel::{KernelUsed, DEFAULT_BITMAP_CAP_BYTES};
-use crate::protocol::{lane_mask, LocalNode, Protocol, RunConfig, MAX_LANES};
+use crate::observer::NoopObserver;
+use crate::protocol::{lane_mask, scalar_rounds, Protocol, RunConfig, MAX_LANES};
 use crate::state::{BroadcastState, NOT_INFORMED};
-use crate::trace::{RoundRecord, RunResult, TraceBuilder, TraceLevel};
+use crate::trace::{RoundRecord, RunResult, TraceLevel};
 
 /// Which graph backend a run executes on.
 ///
@@ -128,49 +128,26 @@ pub fn resolve_backend(requested: Backend, n: usize) -> (Backend, Option<BitmapC
     }
 }
 
-/// Per-shard scratch: transmitting-neighbor counts (saturating at 2) and
-/// jam-noise bits for the rows this shard's edges touch.
-#[derive(Debug)]
-struct ShardScratch {
-    hits: Vec<u8>,
-    jam: BitSet,
-}
-
-impl ShardScratch {
-    fn new(n: usize) -> Self {
-        ShardScratch {
-            hits: vec![0; n],
-            jam: BitSet::new(n),
-        }
-    }
-
-    #[inline]
-    fn bump(&mut self, w: NodeId, jam: bool) {
-        let h = &mut self.hits[w as usize];
-        if *h < 2 {
-            *h += 1;
-        }
-        if jam {
-            self.jam.set(w as usize);
-        }
-    }
-}
-
-/// Sweeps `range`'s forward edges, accumulating hits at both endpoints of
-/// every edge with a transmitting endpoint.
+/// Sweeps `range`'s forward edges, accumulating hits (saturating at 2)
+/// at both endpoints of every edge with a transmitting endpoint; a jam
+/// source counts two hits.
 fn fill_shard(
     provider: &dyn GraphProvider,
     range: Range<NodeId>,
     tx: &BitSet,
     jam_src: &BitSet,
-    scratch: &mut ShardScratch,
+    hits: &mut [u8],
 ) {
+    let mut bump = |w: NodeId, from: NodeId| {
+        let h = &mut hits[w as usize];
+        *h = (*h + 1 + jam_src.get(from as usize) as u8).min(2);
+    };
     provider.for_forward_edges(range, &mut |u, v| {
         if tx.get(u as usize) {
-            scratch.bump(v, jam_src.get(u as usize));
+            bump(v, u);
         }
         if tx.get(v as usize) {
-            scratch.bump(u, jam_src.get(v as usize));
+            bump(u, v);
         }
     });
 }
@@ -185,7 +162,9 @@ fn fill_shard(
 pub struct SweepEngine<'p> {
     provider: &'p dyn GraphProvider,
     ranges: Vec<Range<NodeId>>,
-    shards: Vec<ShardScratch>,
+    /// Per-shard transmitting-neighbor counts (saturating at 2) for the
+    /// rows each shard's edges touch.
+    shards: Vec<Vec<u8>>,
     /// Transmitter membership this round (transmitters and jammers).
     is_transmitter: BitSet,
     /// Jam sources this round (the session's jammers).
@@ -205,7 +184,7 @@ impl<'p> SweepEngine<'p> {
         SweepEngine {
             provider,
             ranges: shard_ranges(n, shards),
-            shards: (0..shards).map(|_| ShardScratch::new(n)).collect(),
+            shards: vec![vec![0; n]; shards],
             is_transmitter: BitSet::new(n),
             jam_src: BitSet::new(n),
             active: Vec::new(),
@@ -236,7 +215,7 @@ impl<'p> SweepEngine<'p> {
         transmitters: &[NodeId],
         round: u32,
     ) -> RoundOutcome {
-        self.execute_with(state, transmitters, round, None, &mut |_| true)
+        self.execute_with(state, transmitters, round, None, None)
     }
 
     /// Executes one round with i.i.d. per-reception loss.  The loss coin is
@@ -256,9 +235,7 @@ impl<'p> SweepEngine<'p> {
             (0.0..=1.0).contains(&loss_prob),
             "loss_prob must be within [0, 1], got {loss_prob}"
         );
-        self.execute_with(state, transmitters, round, None, &mut |_| {
-            !rng.coin(loss_prob)
-        })
+        self.execute_with(state, transmitters, round, None, Some((loss_prob, rng)))
     }
 
     /// Executes one round under a fault session; semantics and coin order
@@ -275,25 +252,38 @@ impl<'p> SweepEngine<'p> {
         loss_prob: f64,
         rng: &mut Xoshiro256pp,
     ) -> RoundOutcome {
+        self.execute_round_with(state, transmitters, round, Some(session), loss_prob, rng)
+    }
+
+    /// One round of a scalar sweep run: under `session` if there is one
+    /// (`None` is the fault-free round), with i.i.d. loss `loss_prob` on
+    /// top — the sweep twin of the round engine's step.
+    pub(crate) fn execute_round_with(
+        &mut self,
+        state: &mut BroadcastState,
+        transmitters: &[NodeId],
+        round: u32,
+        session: Option<&FaultSession<'_>>,
+        loss_prob: f64,
+        rng: &mut Xoshiro256pp,
+    ) -> RoundOutcome {
         assert!(
             (0.0..=1.0).contains(&loss_prob),
             "loss_prob must be within [0, 1], got {loss_prob}"
         );
-        // Burst veto first, without a coin; the loss coin only for
-        // receptions the burst channel lets through (same order as the
-        // round engine).
-        self.execute_with(state, transmitters, round, Some(session), &mut |w| {
-            !session.burst_bad(w) && (loss_prob <= 0.0 || !rng.coin(loss_prob))
-        })
+        let loss = (loss_prob > 0.0).then_some((loss_prob, rng));
+        self.execute_with(state, transmitters, round, session, loss)
     }
 
+    /// The round body: `loss` draws one coin per reception the faults let
+    /// through (see the round engine's body).
     fn execute_with(
         &mut self,
         state: &mut BroadcastState,
         transmitters: &[NodeId],
         round: u32,
         session: Option<&FaultSession<'_>>,
-        deliver: &mut dyn FnMut(NodeId) -> bool,
+        mut loss: Option<(f64, &mut Xoshiro256pp)>,
     ) -> RoundOutcome {
         let n = self.provider.n();
         debug_assert_eq!(state.n(), n);
@@ -347,16 +337,13 @@ impl<'p> SweepEngine<'p> {
 
         // Merge shards 1.. into shard 0 at the round barrier: saturating
         // counter addition (exact for the ==1 vs ≥2 distinction and
-        // commutative, so results are shard-count-invariant) plus jam-bit
-        // union.
+        // commutative, so results are shard-count-invariant).
         if self.shards.len() > 1 {
             let (first, rest) = self.shards.split_at_mut(1);
-            let merged = &mut first[0];
-            for other in rest.iter_mut() {
-                for (m, o) in merged.hits.iter_mut().zip(&other.hits) {
+            for other in rest.iter() {
+                for (m, o) in first[0].iter_mut().zip(other) {
                     *m = (*m + *o).min(2);
                 }
-                merged.jam.union_with(&other.jam);
             }
         }
 
@@ -368,38 +355,38 @@ impl<'p> SweepEngine<'p> {
             ..RoundOutcome::default()
         };
         let blocked = session.map(|s| s.blocked());
-        {
-            let scr = &self.shards[0];
-            for w in 0..n {
-                let h = scr.hits[w];
-                if h == 0 {
-                    continue;
-                }
-                if self.is_transmitter.get(w) {
-                    continue; // transmitting (or jamming), not listening
-                }
-                if blocked.is_some_and(|b| b.get(w)) {
-                    continue; // crashed or asleep: deaf
-                }
-                let w = w as NodeId;
-                if !state.is_informed(w) {
-                    outcome.reached += 1;
-                    if h == 1 && !scr.jam.get(w as usize) {
-                        if deliver(w) {
-                            state.inform(w, round);
-                            outcome.newly_informed += 1;
-                        }
-                    } else {
-                        outcome.collisions += 1;
+        for (w, &h) in self.shards[0].iter().enumerate() {
+            if h == 0 {
+                continue;
+            }
+            if self.is_transmitter.get(w) {
+                continue; // transmitting (or jamming), not listening
+            }
+            if blocked.is_some_and(|b| b.get(w)) {
+                continue; // crashed or asleep: deaf
+            }
+            let w = w as NodeId;
+            if !state.is_informed(w) {
+                outcome.reached += 1;
+                if h == 1 {
+                    // Burst veto first, without a coin; the loss coin
+                    // only for receptions the burst channel lets
+                    // through (same order as the round engine).
+                    let delivered = !session.is_some_and(|s| s.burst_bad(w))
+                        && loss.as_mut().is_none_or(|(p, rng)| !rng.coin(*p));
+                    if delivered {
+                        state.inform(w, round);
+                        outcome.newly_informed += 1;
                     }
+                } else {
+                    outcome.collisions += 1;
                 }
             }
         }
 
         // Reset scratch for the next round.
-        for scratch in &mut self.shards {
-            scratch.hits.fill(0);
-            scratch.jam.clear();
+        for hits in &mut self.shards {
+            hits.fill(0);
         }
         for &t in &active {
             self.is_transmitter.unset(t as usize);
@@ -415,135 +402,41 @@ impl<'p> SweepEngine<'p> {
 }
 
 /// Scalar sweep core: the body behind every
-/// [`PlannedEngine::Sweep`](crate::exec::PlannedEngine::Sweep) plan.
-/// (The shards ≤ 1 + explicit-adjacency fast path lives in the planner,
-/// which routes such specs to the round engine instead.)
+/// [`PlannedEngine::Sweep`](crate::exec::PlannedEngine::Sweep) plan,
+/// faulted (`plan` set) or not.  (The shards ≤ 1 + explicit-adjacency
+/// fast path lives in the planner, which routes such specs to the round
+/// engine instead.)
 pub(crate) fn run_sweep_scalar_core<P: Protocol + ?Sized>(
     provider: &dyn GraphProvider,
     shards: usize,
     source: NodeId,
     protocol: &mut P,
     config: RunConfig,
+    plan: Option<&FaultPlan>,
     rng: &mut Xoshiro256pp,
 ) -> RunResult {
-    let n = provider.n();
-    let mut state = BroadcastState::new(n, source);
+    let state = BroadcastState::new(provider.n(), source);
     let mut engine = SweepEngine::new(provider, shards);
-    let mut tb = TraceBuilder::new(config.trace_level);
-    protocol.begin_run(n);
-
-    let mut transmitters: Vec<NodeId> = Vec::new();
-    let mut round = 0u32;
-    while !state.is_complete() && round < config.max_rounds {
-        round += 1;
-        transmitters.clear();
-        for v in state.informed_nodes() {
-            let local = LocalNode {
-                id: v,
-                informed_round: state.informed_round(v).unwrap(),
-                round,
-            };
-            if protocol.transmits(local, rng) {
-                transmitters.push(v);
-            }
-        }
-        let outcome = if config.loss_prob > 0.0 {
-            engine.execute_round_lossy(&mut state, &transmitters, round, config.loss_prob, rng)
-        } else {
-            engine.execute_round(&mut state, &transmitters, round)
-        };
-        tb.record(round, &outcome, state.informed_count());
-    }
-
-    let completed = state.is_complete();
-    let informed = state.informed_count();
-    let mut result = tb.finish(completed, round, informed, n);
+    let mut result = scalar_rounds(
+        provider,
+        state,
+        protocol,
+        config,
+        plan,
+        rng,
+        &mut NoopObserver,
+        |state, transmitters, round, session, rng| {
+            engine.execute_round_with(state, transmitters, round, session, config.loss_prob, rng)
+        },
+    );
     result.kernel = KernelUsed::Sweep;
-    result
-}
-
-/// Faulted scalar sweep core (see [`run_sweep_scalar_core`]).
-///
-/// The graceful-degradation [`FaultSummary`](crate::fault::FaultSummary)
-/// needs explicit adjacency for its live-subgraph BFS, so purely implicit
-/// backends **materialize once at the end of the run** to compute it —
-/// `O(n + m)` extra memory, fine at differential-test sizes but
-/// deliberately avoided by the fault-free scale runner above.
-pub(crate) fn run_sweep_faulty_core<P: Protocol + ?Sized>(
-    provider: &dyn GraphProvider,
-    shards: usize,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    let n = provider.n();
-    assert_eq!(plan.n(), n, "fault plan size mismatch");
-    let mut state = BroadcastState::new(n, source);
-    let mut engine = SweepEngine::new(provider, shards);
-    let mut tb = TraceBuilder::new(config.trace_level);
-    let mut session = FaultSession::new(plan);
-    protocol.begin_run(n);
-
-    let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut transmitters: Vec<NodeId> = Vec::new();
-    let mut round = 0u32;
-    while !state.is_complete() && round < config.max_rounds {
-        round += 1;
-        // Faults fire (and burst channels step) before any decision coin.
-        fault_events.extend_from_slice(session.begin_round(round, rng));
-
-        transmitters.clear();
-        for v in state.informed_nodes() {
-            // Crashed, asleep, and jamming nodes draw no decision coin.
-            if session.mute(v) {
-                continue;
-            }
-            let local = LocalNode {
-                id: v,
-                informed_round: state.informed_round(v).unwrap(),
-                round,
-            };
-            if protocol.transmits(local, rng) {
-                transmitters.push(v);
-            }
-        }
-        let outcome = engine.execute_round_faulty(
-            &mut state,
-            &transmitters,
-            round,
-            &session,
-            config.loss_prob,
-            rng,
-        );
-        tb.record(round, &outcome, state.informed_count());
-    }
-
-    let completed = state.is_complete();
-    let informed = state.informed_count();
-    let materialized;
-    let graph = match provider.as_explicit() {
-        Some(g) => g,
-        None => {
-            materialized = provider.materialize();
-            &materialized
-        }
-    };
-    let summary = plan
-        .live_view(graph, round, source)
-        .summary(|v| state.is_informed(v));
-    let mut result = tb.finish(completed, round, informed, n);
-    result.kernel = KernelUsed::Sweep;
-    result.fault_events = fault_events;
-    result.faults = Some(summary);
     result
 }
 
 /// Per-shard lane scratch: two-plane saturating counters over trial
 /// lanes (`planes[v] = [ge1, ge2]`, the lanes with ≥ 1 / ≥ 2
 /// transmitting neighbors of `v` so far) plus jam-noise bits — the
-/// lane-batched analogue of [`ShardScratch`].
+/// lane-batched analogue of the scalar sweep's per-shard hit counters.
 struct LaneShardScratch {
     planes: Vec<[u64; 2]>,
     jam: BitSet,
@@ -911,32 +804,11 @@ pub(crate) fn run_sweep_lanes_core<P: Protocol + ?Sized>(
         lane_rounds[l] = round;
     }
 
-    // Per-lane graceful-degradation summaries.  Purely implicit
-    // backends materialize **once** for the whole batch (fault runs
-    // only — fault-free lane sweeps never materialize); lanes finishing
-    // in the same round share a LiveView.
-    let mut lane_faults: Vec<Option<crate::fault::FaultSummary>> = vec![None; lanes];
-    if let Some(p) = plan {
-        let materialized;
-        let graph = match provider.as_explicit() {
-            Some(g) => g,
-            None => {
-                materialized = provider.materialize();
-                &materialized
-            }
-        };
-        let mut views: Vec<(u32, LiveView)> = Vec::new();
-        for (l, &horizon) in lane_rounds.iter().enumerate().take(lanes) {
-            let at = views
-                .iter()
-                .position(|(h, _)| *h == horizon)
-                .unwrap_or_else(|| {
-                    views.push((horizon, p.live_view(graph, horizon, source)));
-                    views.len() - 1
-                });
-            lane_faults[l] = Some(views[at].1.summary(|v| informed[v as usize] >> l & 1 == 1));
-        }
-    }
+    let lane_faults = plan.map(|p| {
+        fault_summaries(p, provider, source, &lane_rounds, |l, v| {
+            informed[v as usize] >> l & 1 == 1
+        })
+    });
 
     traces
         .into_iter()
@@ -950,7 +822,7 @@ pub(crate) fn run_sweep_lanes_core<P: Protocol + ?Sized>(
             threads: 1,
             last_delivery_round: lane_last[l],
             fault_events: std::mem::take(&mut lane_events[l]),
-            faults: lane_faults[l].take(),
+            faults: lane_faults.as_ref().map(|f| f[l]),
             trace,
         })
         .collect()
@@ -967,6 +839,7 @@ mod tests {
     use super::*;
     use crate::exec::RunSpec;
     use crate::fault::FaultPlan;
+    use crate::protocol::LocalNode;
     use radio_graph::Graph;
 
     struct AlwaysTransmit;

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use radio_graph::{child_rng, AlignedWords, Graph, NodeId, TileLayout, Xoshiro256pp};
 
 use crate::bitset::BitSet;
-use crate::fault::{FaultEvent, FaultPlan, LaneFaultSession, LiveView};
+use crate::fault::{fault_summaries, FaultEvent, FaultPlan, LaneFaultSession};
 use crate::kernel::KernelUsed;
 use crate::protocol::{Protocol, RunConfig};
 use crate::runner::thread_budget;
@@ -467,24 +467,11 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
         }
     }
 
-    // Per-lane graceful-degradation summaries; lanes finishing in the
-    // same round share a LiveView.
-    let mut views: Vec<(u32, LiveView)> = Vec::new();
-    let mut lane_faults = Vec::with_capacity(lanes);
-    for (l, &horizon) in lane_rounds.iter().enumerate().take(lanes) {
-        lane_faults.push(plan.map(|p| {
-            let at = views
-                .iter()
-                .position(|(h, _)| *h == horizon)
-                .unwrap_or_else(|| {
-                    views.push((horizon, p.live_view(graph, horizon, source)));
-                    views.len() - 1
-                });
-            views[at]
-                .1
-                .summary(|v| informed[v as usize * c + (l >> 6)] >> (l & 63) & 1 == 1)
-        }));
-    }
+    let lane_faults = plan.map(|p| {
+        fault_summaries(p, graph, source, &lane_rounds, |l, v| {
+            informed[v as usize * c + (l >> 6)] >> (l & 63) & 1 == 1
+        })
+    });
 
     traces
         .into_iter()
@@ -498,7 +485,7 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
             threads: workers as u32,
             last_delivery_round: lane_last[l],
             fault_events: std::mem::take(&mut lane_events[l]),
-            faults: lane_faults[l],
+            faults: lane_faults.as_ref().map(|f| f[l]),
             trace,
         })
         .collect()

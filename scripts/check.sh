@@ -32,43 +32,43 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 step "cargo test (debug)"
 cargo test --workspace --offline -q
 
-# The fault-model cross-kernel contract (crash/sleep/jam/burst plans replay
-# bit-identically on the sparse and dense kernels and the tiled lane
-# engine) is also pinned explicitly, debug here and release below.
-step "fault-model differential suite (debug)"
-cargo test --offline -q -p radio-sim fault
-cargo test --offline -q -p radio-integration --test fault_differential
+# The differential contracts, one list run once per profile (debug here,
+# release below, where the dense kernel's word arithmetic, the AVX-512
+# sweep and the sharded merge must also hold under optimization):
+# - kernel: sparse == dense == reference, byte-stable traces, and the
+#   Auto dispatch;
+# - fault model: crash/sleep/jam/burst plans (and the empty plan) replay
+#   bit-identically on the sparse and dense kernels and the lane engines;
+# - backends: the implicit (seed-only) and sharded sweeps are
+#   bit-identical to the explicit round engine, faulted and lossy runs
+#   included;
+# - exec planner: RunSpec planning is a pure function of its inputs, and
+#   the provider lane planes equal scalar explicit runs on the matching
+#   child_rng streams;
+# - tiled lane engine: every lane of a 1..=1024-lane run (plain, lossy,
+#   faulted, single-node, disconnected) equals the scalar round engine on
+#   its child stream.
+# The suites pin worker counts internally; the RADIO_THREADS sweep also
+# pins the env-driven default pool size the CLI picks up.
+differential() { # $@ = extra cargo test flags (e.g. --release)
+  cargo test "$@" --offline -q -p radio-sim kernel
+  cargo test "$@" --offline -q -p radio-integration --test props_cross_crate kernel
+  cargo test "$@" --offline -q -p radio-sim fault
+  cargo test "$@" --offline -q -p radio-integration --test fault_differential
+  cargo test "$@" --offline -q -p radio-sim sweep
+  cargo test "$@" --offline -q -p radio-integration --test backend_differential
+  cargo test "$@" --offline -q -p radio-sim tiled
+  for threads in 1 8; do
+    RADIO_THREADS="$threads" cargo test "$@" --offline -q -p radio-sim exec
+    RADIO_THREADS="$threads" cargo test "$@" --offline -q \
+      -p radio-integration --test backend_differential implicit_lane_planes
+    RADIO_THREADS="$threads" cargo test "$@" --offline -q \
+      -p radio-integration --test kernel_differential
+  done
+}
 
-# The cross-backend contract: the implicit (seed-only) and sharded sweep
-# backends must be bit-identical to the explicit round engine, faulted and
-# lossy runs included.
-step "backend differential suite (debug)"
-cargo test --offline -q -p radio-sim sweep
-cargo test --offline -q -p radio-integration --test backend_differential
-
-# The exec-planner contract: RunSpec planning is a pure function of its
-# inputs, and the lane planes it schedules on provider backends are
-# bit-identical to scalar explicit runs on the matching child_rng streams
-# regardless of the worker budget.
-step "exec planner suite (debug)"
-for threads in 1 8; do
-  RADIO_THREADS="$threads" cargo test --offline -q -p radio-sim exec
-  RADIO_THREADS="$threads" cargo test --offline -q \
-    -p radio-integration --test backend_differential implicit_lane_planes
-done
-
-# The lane-engine contract: every lane of a 1..=1024-lane run (plain,
-# lossy, faulted, single-node, disconnected) is bit-identical to the
-# scalar round engine on its child stream, and the whole result vector is
-# invariant under the intra-round worker count.  The suite pins worker
-# counts 1/3/8 internally; the RADIO_THREADS sweep additionally pins the
-# env-driven default pool size the CLI picks up.
-step "tiled kernel differential suite (debug)"
-cargo test --offline -q -p radio-sim tiled
-for threads in 1 8; do
-  RADIO_THREADS="$threads" cargo test --offline -q \
-    -p radio-integration --test kernel_differential
-done
+step "differential suites (debug)"
+differential
 
 # The broadcast-service contract: a partitioned 64-node cluster must heal
 # to coverage 1.0, and the stripped NodeReport must be byte-identical
@@ -88,52 +88,9 @@ if [ "$fast" -eq 0 ]; then
   step "cargo build --release"
   cargo build --workspace --release --offline -q
 
-  # The kernel equivalence suite (sparse == dense == reference, byte-stable
-  # traces) re-runs in release mode: the dense kernel's word arithmetic and
-  # the Auto dispatch must hold under optimization, not just in debug.
-  step "differential kernel tests (release)"
-  cargo test --release --offline -q -p radio-sim kernel
-  cargo test --release --offline -q -p radio-integration --test props_cross_crate kernel
+  step "differential suites (release)"
+  differential --release
 
-  # The fault-model differential suite re-runs in release: the dense
-  # three-plane resolution and the lane engines' jam/burst word arithmetic
-  # must stay bit-identical to the sparse reference under optimization.
-  step "fault-model differential suite (release)"
-  cargo test --release --offline -q -p radio-sim fault
-  cargo test --release --offline -q -p radio-integration --test fault_differential
-
-  # The cross-backend suite re-runs in release: geometric skip sampling and
-  # the sharded merge must reproduce the explicit engine bit-for-bit under
-  # optimization.
-  step "backend differential suite (release)"
-  cargo test --release --offline -q -p radio-sim sweep
-  cargo test --release --offline -q -p radio-integration --test backend_differential
-
-  # The exec-planner suite re-runs in release under both worker budgets:
-  # planner purity and the lane-plane bit-identity must survive
-  # optimization and be invariant under the thread budget.
-  step "exec planner suite (release)"
-  for threads in 1 8; do
-    RADIO_THREADS="$threads" cargo test --release --offline -q -p radio-sim exec
-    RADIO_THREADS="$threads" cargo test --release --offline -q \
-      -p radio-integration --test backend_differential implicit_lane_planes
-  done
-
-  # The tiled lane engine re-runs in release under both a serial and an
-  # oversubscribed pool: the AVX-512 sweep, the compact transmitter
-  # table, and the block-cursor work stealing must stay bit-identical
-  # to the scalar engine under optimization, at every lane count the
-  # retired batch-equivalence step used to cover.
-  step "tiled kernel differential suite (release)"
-  cargo test --release --offline -q -p radio-sim tiled
-  for threads in 1 8; do
-    RADIO_THREADS="$threads" cargo test --release --offline -q \
-      -p radio-integration --test kernel_differential
-  done
-
-  # The experiment registry: the driver must list all experiments, and the
-  # smoke suite runs every registered experiment at a tiny grid and checks
-  # the parallel `all` path is bit-identical to serial.
   # The broadcast-service contract re-runs in release at cluster scale
   # (1024 nodes, partition + crash + loss): full coverage after heal,
   # byte-identical stripped reports across thread budgets, and the
@@ -150,6 +107,9 @@ if [ "$fast" -eq 0 ]; then
   d1=$(node_scale target/debug/radio-node 1)
   [ "$r1" = "$d1" ] || { echo "node scale: debug and release reports differ" >&2; exit 1; }
 
+  # The experiment registry: the driver must list all experiments, and the
+  # smoke suite runs every registered experiment at a tiny grid and checks
+  # the parallel `all` path is bit-identical to serial.
   step "experiment registry (release)"
   cargo run --release --offline -q -p radio-bench -- list
   cargo test --release --offline -q -p radio-bench --test registry

@@ -16,7 +16,8 @@ use radio_sim::{
     MAX_LANES,
 };
 
-/// One fault plan per fault type, plus a kitchen-sink combination.
+/// One fault plan per fault type, plus the empty plan and a kitchen-sink
+/// combination.
 fn fault_cases(g: &Graph) -> Vec<(&'static str, FaultPlan)> {
     let n = g.n();
     let mut crash = FaultPlan::new(n);
@@ -43,6 +44,7 @@ fn fault_cases(g: &Graph) -> Vec<(&'static str, FaultPlan)> {
         4242,
     );
     vec![
+        ("empty", FaultPlan::new(n)),
         ("crash", crash),
         ("sleep", sleep),
         ("jam", jam),
@@ -221,4 +223,93 @@ fn fault_summary_is_kernel_independent() {
     assert_eq!(sparse.last_delivery_round, dense.last_delivery_round);
     assert!(s.crashed > 0, "adversarial plan crashed nobody");
     assert!(s.live_reachable <= s.live);
+}
+
+/// A fault-free run is the empty plan's run minus its summary: on every
+/// engine, `with_faults(&FaultPlan::new(n))` returns the fault-free
+/// [`radio_sim::RunResult`] in every field except `faults`, which is
+/// `Some`, and scalar plans leave the caller's RNG in the same state.
+#[test]
+fn empty_fault_plan_is_the_fault_free_run() {
+    let n = 160;
+    let p = 0.08;
+    let g = sample_gnp(n, p, &mut Xoshiro256pp::new(1404));
+    let imp = ImplicitGnp::new(n, p, 1404);
+    let empty = FaultPlan::new(n);
+    let check =
+        |what: &str, plain: Vec<radio_sim::RunResult>, faulty: Vec<radio_sim::RunResult>| {
+            assert_eq!(plain.len(), faulty.len(), "{what}: lane count");
+            for (lane, (want, mut got)) in plain.into_iter().zip(faulty).enumerate() {
+                assert_eq!(want.faults, None, "{what} lane {lane}: fault-free summary");
+                assert!(
+                    got.faults.take().is_some(),
+                    "{what} lane {lane}: no summary"
+                );
+                assert_eq!(got, want, "{what} lane {lane}");
+            }
+        };
+
+    for loss in [0.0, 0.2] {
+        let cfg = RunConfig::for_graph(n).with_max_rounds(120).with_loss(loss);
+        for (proto_name, make) in protocol_factories(p) {
+            for kernel in [
+                EngineKernel::Sparse,
+                EngineKernel::Dense,
+                EngineKernel::Auto,
+            ] {
+                let spec = || RunSpec::on_graph(&g, 0).with_config(cfg.with_kernel(kernel));
+                let mut plain_rng = Xoshiro256pp::new(31);
+                let mut faulty_rng = Xoshiro256pp::new(31);
+                let plain = spec().run_with_rng(make().as_mut(), &mut plain_rng).lanes;
+                let faulty = spec()
+                    .with_faults(&empty)
+                    .run_with_rng(make().as_mut(), &mut faulty_rng)
+                    .lanes;
+                let what = format!("round/{kernel:?}/{proto_name}/loss {loss}");
+                check(&what, plain, faulty);
+                assert_eq!(plain_rng.next(), faulty_rng.next(), "{what}: residual RNG");
+            }
+            for shards in [1usize, 4] {
+                let spec = || RunSpec::on_provider(&imp, shards, 0).with_config(cfg);
+                let mut plain_rng = Xoshiro256pp::new(32);
+                let mut faulty_rng = Xoshiro256pp::new(32);
+                let plain = spec().run_with_rng(make().as_mut(), &mut plain_rng).lanes;
+                let faulty = spec()
+                    .with_faults(&empty)
+                    .run_with_rng(make().as_mut(), &mut faulty_rng)
+                    .lanes;
+                let what = format!("sweep/{shards} shards/{proto_name}/loss {loss}");
+                check(&what, plain, faulty);
+                assert_eq!(plain_rng.next(), faulty_rng.next(), "{what}: residual RNG");
+            }
+            for lanes in [8usize, 130] {
+                let spec = || {
+                    RunSpec::on_graph(&g, 0)
+                        .with_config(cfg)
+                        .with_lanes(lanes)
+                        .with_master_seed(33)
+                };
+                let plain = spec().run(make().as_mut()).lanes;
+                let faulty = spec().with_faults(&empty).run(make().as_mut()).lanes;
+                check(
+                    &format!("tiled/{lanes} lanes/{proto_name}/loss {loss}"),
+                    plain,
+                    faulty,
+                );
+            }
+            let spec = || {
+                RunSpec::on_provider(&imp, 2, 0)
+                    .with_config(cfg)
+                    .with_lanes(MAX_LANES)
+                    .with_master_seed(34)
+            };
+            let plain = spec().run(make().as_mut()).lanes;
+            let faulty = spec().with_faults(&empty).run(make().as_mut()).lanes;
+            check(
+                &format!("lane-sweep/{proto_name}/loss {loss}"),
+                plain,
+                faulty,
+            );
+        }
+    }
 }
