@@ -2,10 +2,11 @@
 //! network faults.
 //!
 //! Everything else in the registry measures the *round* engines; this
-//! experiment measures the event-loop *service* (`radio-node`): gossip
-//! with per-peer acks and capped exponential backoff, layered on the
-//! Thm-7 transmit cadence, over a network that drops, delays, jams,
-//! partitions, and burst-corrupts messages.  Four scenarios escalate the
+//! experiment measures the event-loop *service* (`radio-node`): eager
+//! push on the Thm-7 transmit cadence plus per-peer anti-entropy
+//! (targeted re-sends and periodic syncs, paced by capped exponential
+//! backoff), over a network that drops, delays, jams, partitions, and
+//! burst-corrupts messages.  Four scenarios escalate the
 //! damage:
 //!
 //! 1. `quiet` — fault-free baseline;
@@ -16,8 +17,8 @@
 //! 4. `partition+crash+loss` — all of the above plus iid message loss.
 //!
 //! The claim mirrors the paper's robustness story at the systems level:
-//! the ack/retry layer turns transient faults into latency (stretched
-//! p99, a post-heal convergence window) rather than lost coverage —
+//! anti-entropy turns transient faults into latency (stretched p99, a
+//! post-heal convergence window) rather than lost coverage —
 //! coverage over live reachable nodes stays 1.0 in every scenario.
 
 use radio_analysis::{fnum, Table};
@@ -65,7 +66,7 @@ impl Experiment for Node {
         "E-NODE"
     }
     fn claim(&self) -> &'static str {
-        "the ack/retry gossip service converts partitions, crashes, and loss into \
+        "the anti-entropy gossip service converts partitions, crashes, and loss into \
          latency, not lost coverage: live reachable nodes always converge to 1.0"
     }
     fn default_grid(&self) -> Vec<(&'static str, &'static str)> {
@@ -154,20 +155,17 @@ impl Experiment for Node {
         outln!(ctx);
         outln!(
             ctx,
-            "reading: coverage holds at 1.000 in every scenario — the retry/backoff"
+            "reading: coverage holds at 1.000 in every scenario — targeted re-sends"
         );
         outln!(
             ctx,
-            "loop re-offers unacked values until links heal, so faults surface as a"
+            "and periodic syncs repair lost and partitioned pushes once links heal,"
         );
         outln!(
             ctx,
-            "stretched p99 and a post-heal convergence window, plus the message"
+            "so faults surface as a stretched p99 and a post-heal convergence window,"
         );
-        outln!(
-            ctx,
-            "overhead of retries, never as missing values on live reachable nodes."
-        );
+        outln!(ctx, "never as missing values on live reachable nodes.");
         report
     }
 }

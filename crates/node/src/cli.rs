@@ -12,15 +12,19 @@
 //! [`NodeReport`](crate::report::NodeReport)
 //! (text by default, one JSON line with `--json`).  `node` speaks the
 //! Maelstrom JSON-lines protocol on stdin/stdout: an `init` envelope
-//! first, then `topology` / `broadcast` / `read` / `gossip` /
-//! `gossip_ack` / `tick` messages, one per line.  `radio-cli node ...`
-//! forwards here, mirroring the `bench` forwarding.
+//! first, then `topology` / `broadcast` / `read` / `stats` / `gossip` /
+//! `gossip_ack` / `tick` messages, one per line.  An envelope with an
+//! unknown `type` or a bad field gets an `error` reply (code 10 or 12)
+//! and the node keeps serving; a line that is not a JSON envelope ends
+//! it with exit 1.  `--backoff` paces the anti-entropy: the targeted
+//! re-sends to a peer known to be behind, and the periodic syncs.
+//! `radio-cli node ...` forwards here, mirroring the `bench` forwarding.
 
 use radio_broadcast::distributed::{EgDistributed, Restartable};
 use radio_sim::FaultConfig;
 use std::io::{BufRead, Write};
 
-use crate::msg::{Body, Message};
+use crate::msg::{BadMessage, Body, Message};
 use crate::net::Partition;
 use crate::node::{BackoffPolicy, GossipNode};
 use crate::workload::{run_workload, WorkloadConfig};
@@ -39,6 +43,12 @@ fn usage(err: &str) -> ! {
   radio-node node     [--seed S] [--degree D]
 
 faults SPEC is the radio-cli grammar: crash=RATE[@H],sleep=RATE[@H],jam=K,burst=PB:PG
+backoff paces anti-entropy (default 2:2:64): after its k-th send, the next
+  re-send to a peer known to be behind, or the next periodic sync (k counts
+  syncs since the node last learned a value), comes min(BASE*FACTOR^(k-1), CAP)
+  ticks later
+node answers init/topology/broadcast/read/stats on stdin; an unknown type or
+  a bad field gets an error reply (code 10 or 12), a non-JSON line exits 1
 examples:
   radio-node workload --nodes 1024 --ops 32 --partition 10:120 --faults crash=0.05 --json
   echo '{{\"src\":4294967295,\"dest\":0,\"body\":{{\"type\":\"init\",\"msg_id\":1,\"node_id\":0,\"n\":4}}}}' | radio-node node"
@@ -179,7 +189,19 @@ pub fn node_loop<R: BufRead, W: Write>(
         if line.trim().is_empty() {
             continue;
         }
-        let msg = Message::from_line(&line)?;
+        let msg = match Message::from_line(&line) {
+            Ok(msg) => msg,
+            // A readable envelope with a body the node cannot serve gets
+            // a typed `error` reply and the service keeps reading; a line
+            // that is not an envelope at all ends it.
+            Err(BadMessage {
+                reply: Some(reply), ..
+            }) if node.is_some() => {
+                writeln!(output, "{}", reply.to_line()).map_err(|e| format!("stdout: {e}"))?;
+                continue;
+            }
+            Err(bad) => return Err(bad.text),
+        };
         let replies = match (&mut node, &msg.body) {
             (slot @ None, Body::Init { msg_id, node_id, n }) => {
                 if *n == 0 {
@@ -375,6 +397,86 @@ mod tests {
             }
             other => panic!("expected read_ok, got {other:?}"),
         }
+    }
+
+    /// Runs `lines` (after an `init` of node 0 in a cluster of 4) through
+    /// the stdio loop and returns the reply lines after `init_ok`.
+    fn serve(lines: &[&str]) -> Vec<Message> {
+        let mut input = String::from(
+            "{\"src\":4294967295,\"dest\":0,\"body\":{\"type\":\"init\",\"msg_id\":1,\"node_id\":0,\"n\":4}}\n",
+        );
+        for line in lines {
+            input.push_str(line);
+            input.push('\n');
+        }
+        let mut out = Vec::new();
+        node_loop(input.as_bytes(), &mut out, 7, 12.0).unwrap();
+        let replies: Vec<Message> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| Message::from_line(l).unwrap())
+            .collect();
+        assert!(matches!(replies[0].body, Body::InitOk { in_reply_to: 1 }));
+        replies[1..].to_vec()
+    }
+
+    #[test]
+    fn stdio_node_answers_bad_bodies_with_an_error_and_keeps_serving() {
+        let replies = serve(&[
+            r#"{"src":4294967295,"dest":0,"body":{"type":"bogus","msg_id":2}}"#,
+            r#"{"src":4294967295,"dest":0,"body":{"type":"broadcast","msg_id":3}}"#,
+            r#"{"src":4294967295,"dest":0,"body":{"type":"read","msg_id":4}}"#,
+        ]);
+        let bodies: Vec<&Body> = replies.iter().map(|m| &m.body).collect();
+        assert!(
+            matches!(
+                bodies[0],
+                Body::Error {
+                    in_reply_to: Some(2),
+                    code: 10,
+                    ..
+                }
+            ),
+            "{bodies:?}"
+        );
+        assert!(
+            matches!(
+                bodies[1],
+                Body::Error {
+                    in_reply_to: Some(3),
+                    code: 12,
+                    ..
+                }
+            ),
+            "{bodies:?}"
+        );
+        assert!(
+            matches!(bodies[2], Body::ReadOk { in_reply_to: 4, values } if values.is_empty()),
+            "{bodies:?}"
+        );
+        assert!(replies.iter().all(|m| m.dest == CLIENT && m.src == 0));
+    }
+
+    #[test]
+    fn stdio_node_reports_its_counters() {
+        let replies = serve(&[
+            r#"{"src":4294967295,"dest":0,"body":{"type":"topology","msg_id":2,"neighbors":[1,2]}}"#,
+            r#"{"src":4294967295,"dest":0,"body":{"type":"broadcast","msg_id":3,"value":42}}"#,
+            r#"{"src":1,"dest":0,"body":{"type":"gossip","values":[7]}}"#,
+            r#"{"src":4294967295,"dest":0,"body":{"type":"stats","msg_id":5}}"#,
+        ]);
+        // topology_ok, broadcast_ok, the gossip_ack to node 1 (it lacks
+        // 42), then the counters that ack is counted in.
+        assert!(matches!(&replies[2].body, Body::GossipAck { values } if values == &[7, 42]));
+        assert_eq!(
+            replies[3].body,
+            Body::StatsOk {
+                in_reply_to: 5,
+                gossip_sent: 0,
+                acks_sent: 1,
+                retries: 0,
+            }
+        );
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! Where `radio-sim` runs the Theorem-7 protocol as a lock-step round
 //! simulation, this crate runs it as a *system*: each [`GossipNode`]
 //! owns its state and RNG stream, exchanges typed [`Message`]s through a
-//! [`SimNet`] event queue, and layers a gossip/ack/retry machine on top
-//! of the Thm-7 transmit cadence ([`EventDriven`] supplies it).  The
+//! [`SimNet`] event queue, and pushes its whole held set to its peers on
+//! the Thm-7 transmit cadence ([`EventDriven`] supplies it), repairing
+//! lost pushes by per-peer anti-entropy: useful-only replies, targeted
+//! re-sends to peers known to be behind, and a periodic sync.  The
 //! network adapts the round engines' [`FaultPlan`](radio_sim::FaultPlan)
 //! into link faults — crash, sleep, jam, Gilbert–Elliott burst — and
 //! adds partitions, iid loss, and delay jitter of its own.
@@ -35,8 +37,8 @@ pub mod node;
 pub mod report;
 pub mod workload;
 
-pub use msg::{Body, Message, CLIENT};
+pub use msg::{BadMessage, Body, Message, CLIENT, MALFORMED_REQUEST, NOT_SUPPORTED};
 pub use net::{NetConfig, NetStats, Partition, SimNet};
-pub use node::{AckState, BackoffPolicy, GossipNode, NodeCounters};
+pub use node::{BackoffPolicy, GossipNode, NodeCounters};
 pub use report::{percentile, NodeReport, NODE_REPORT_SCHEMA_VERSION};
 pub use workload::{connected_topology, run_workload, WorkloadConfig, SOURCE};

@@ -99,6 +99,54 @@ pub enum Body {
         /// The new tick.
         tick: u64,
     },
+    /// A client op: return the node's message counters.
+    Stats {
+        /// Client-chosen message id.
+        msg_id: u64,
+    },
+    /// Answers `stats` with the node's
+    /// [`NodeCounters`](crate::node::NodeCounters).
+    StatsOk {
+        /// The `msg_id` being answered.
+        in_reply_to: u64,
+        /// `gossip` messages sent.
+        gossip_sent: u64,
+        /// `gossip_ack` replies sent.
+        acks_sent: u64,
+        /// Anti-entropy sends among `gossip_sent`.
+        retries: u64,
+    },
+    /// Answers a request the node cannot serve (Maelstrom error body).
+    Error {
+        /// The request's `msg_id`, when it had a readable one.
+        in_reply_to: Option<u64>,
+        /// Maelstrom error code: [`NOT_SUPPORTED`] or [`MALFORMED_REQUEST`].
+        code: u64,
+        /// What was wrong.
+        text: String,
+    },
+}
+
+/// Maelstrom error code: the message `type` is not one the node speaks.
+pub const NOT_SUPPORTED: u64 = 10;
+/// Maelstrom error code: a known `type` with a missing or invalid field.
+pub const MALFORMED_REQUEST: u64 = 12;
+
+/// Why a JSON line is not a [`Message`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadMessage {
+    /// The `error` reply owed to the sender, when the envelope was
+    /// readable (`src`, `dest` and `body.type` present) and only the body
+    /// was wrong; `None` for lines that are not envelopes at all.
+    pub reply: Option<Message>,
+    /// What was wrong.
+    pub text: String,
+}
+
+impl std::fmt::Display for BadMessage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.text)
+    }
 }
 
 impl Body {
@@ -116,25 +164,109 @@ impl Body {
             Body::Gossip { .. } => "gossip",
             Body::GossipAck { .. } => "gossip_ack",
             Body::Tick { .. } => "tick",
+            Body::Stats { .. } => "stats",
+            Body::StatsOk { .. } => "stats_ok",
+            Body::Error { .. } => "error",
         }
     }
 }
 
 fn values_json(values: &[u64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::from(v as i64)).collect())
+    Json::Arr(values.iter().map(|&v| Json::from(v)).collect())
 }
 
-fn values_from(json: &Json, key: &str) -> Result<Vec<u64>, String> {
+/// A field error: the request is malformed.
+fn malformed(text: String) -> (u64, String) {
+    (MALFORMED_REQUEST, text)
+}
+
+fn values_from(json: &Json, key: &str) -> Result<Vec<u64>, (u64, String)> {
     json.get(key)
         .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing {key} array"))?
+        .ok_or_else(|| malformed(format!("missing body.{key} array")))?
         .iter()
         .map(|v| {
-            v.as_i64()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| format!("bad value in {key}"))
+            v.as_u64()
+                .ok_or_else(|| malformed(format!("bad value in body.{key}")))
         })
         .collect()
+}
+
+/// Parses a body whose `type` is `kind`; errors carry a Maelstrom code.
+fn body_from_json(body: &Json, kind: &str) -> Result<Body, (u64, String)> {
+    let u64_field = |key: &str| {
+        body.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| malformed(format!("missing or invalid body.{key}")))
+    };
+    let u32_field = |key: &str| {
+        body.get(key)
+            .and_then(Json::as_u64)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| malformed(format!("missing or invalid body.{key}")))
+    };
+    Ok(match kind {
+        "init" => Body::Init {
+            msg_id: u64_field("msg_id")?,
+            node_id: u32_field("node_id")?,
+            n: u32_field("n")?,
+        },
+        "init_ok" => Body::InitOk {
+            in_reply_to: u64_field("in_reply_to")?,
+        },
+        "topology" => Body::Topology {
+            msg_id: u64_field("msg_id")?,
+            neighbors: values_from(body, "neighbors")?
+                .into_iter()
+                .map(|v| u32::try_from(v).map_err(|_| malformed("bad neighbor id".into())))
+                .collect::<Result<Vec<_>, _>>()?,
+        },
+        "topology_ok" => Body::TopologyOk {
+            in_reply_to: u64_field("in_reply_to")?,
+        },
+        "broadcast" => Body::Broadcast {
+            msg_id: u64_field("msg_id")?,
+            value: u64_field("value")?,
+        },
+        "broadcast_ok" => Body::BroadcastOk {
+            in_reply_to: u64_field("in_reply_to")?,
+        },
+        "read" => Body::Read {
+            msg_id: u64_field("msg_id")?,
+        },
+        "read_ok" => Body::ReadOk {
+            in_reply_to: u64_field("in_reply_to")?,
+            values: values_from(body, "values")?,
+        },
+        "gossip" => Body::Gossip {
+            values: values_from(body, "values")?,
+        },
+        "gossip_ack" => Body::GossipAck {
+            values: values_from(body, "values")?,
+        },
+        "tick" => Body::Tick {
+            tick: u64_field("tick")?,
+        },
+        "stats" => Body::Stats {
+            msg_id: u64_field("msg_id")?,
+        },
+        "stats_ok" => Body::StatsOk {
+            in_reply_to: u64_field("in_reply_to")?,
+            gossip_sent: u64_field("gossip_sent")?,
+            acks_sent: u64_field("acks_sent")?,
+            retries: u64_field("retries")?,
+        },
+        "error" => Body::Error {
+            in_reply_to: body.get("in_reply_to").and_then(Json::as_u64),
+            code: u64_field("code")?,
+            text: body
+                .get("text")
+                .and_then(Json::as_str)
+                .ok_or_else(|| malformed("missing or invalid body.text".into()))?
+                .to_string(),
+        },
+        other => return Err((NOT_SUPPORTED, format!("unknown message type {other:?}"))),
+    })
 }
 
 impl Message {
@@ -144,18 +276,18 @@ impl Message {
         let body = match &self.body {
             Body::Init { msg_id, node_id, n } => Json::object([
                 tag,
-                ("msg_id", Json::from(*msg_id as i64)),
+                ("msg_id", Json::from(*msg_id)),
                 ("node_id", Json::from(*node_id)),
                 ("n", Json::from(*n)),
             ]),
             Body::InitOk { in_reply_to }
             | Body::TopologyOk { in_reply_to }
             | Body::BroadcastOk { in_reply_to } => {
-                Json::object([tag, ("in_reply_to", Json::from(*in_reply_to as i64))])
+                Json::object([tag, ("in_reply_to", Json::from(*in_reply_to))])
             }
             Body::Topology { msg_id, neighbors } => Json::object([
                 tag,
-                ("msg_id", Json::from(*msg_id as i64)),
+                ("msg_id", Json::from(*msg_id)),
                 (
                     "neighbors",
                     Json::Arr(neighbors.iter().map(|&v| Json::from(v)).collect()),
@@ -163,22 +295,45 @@ impl Message {
             ]),
             Body::Broadcast { msg_id, value } => Json::object([
                 tag,
-                ("msg_id", Json::from(*msg_id as i64)),
-                ("value", Json::from(*value as i64)),
+                ("msg_id", Json::from(*msg_id)),
+                ("value", Json::from(*value)),
             ]),
-            Body::Read { msg_id } => Json::object([tag, ("msg_id", Json::from(*msg_id as i64))]),
+            Body::Read { msg_id } => Json::object([tag, ("msg_id", Json::from(*msg_id))]),
             Body::ReadOk {
                 in_reply_to,
                 values,
             } => Json::object([
                 tag,
-                ("in_reply_to", Json::from(*in_reply_to as i64)),
+                ("in_reply_to", Json::from(*in_reply_to)),
                 ("values", values_json(values)),
             ]),
             Body::Gossip { values } | Body::GossipAck { values } => {
                 Json::object([tag, ("values", values_json(values))])
             }
-            Body::Tick { tick } => Json::object([tag, ("tick", Json::from(*tick as i64))]),
+            Body::Tick { tick } => Json::object([tag, ("tick", Json::from(*tick))]),
+            Body::Stats { msg_id } => Json::object([tag, ("msg_id", Json::from(*msg_id))]),
+            Body::StatsOk {
+                in_reply_to,
+                gossip_sent,
+                acks_sent,
+                retries,
+            } => Json::object([
+                tag,
+                ("in_reply_to", Json::from(*in_reply_to)),
+                ("gossip_sent", Json::from(*gossip_sent)),
+                ("acks_sent", Json::from(*acks_sent)),
+                ("retries", Json::from(*retries)),
+            ]),
+            Body::Error {
+                in_reply_to,
+                code,
+                text,
+            } => Json::object([
+                tag,
+                ("in_reply_to", Json::from(*in_reply_to)),
+                ("code", Json::from(*code)),
+                ("text", Json::from(text.as_str())),
+            ]),
         };
         Json::object([
             ("src", Json::from(self.src)),
@@ -187,89 +342,46 @@ impl Message {
         ])
     }
 
-    /// Parses an envelope rendered by [`Message::to_json`].
-    pub fn from_json(json: &Json) -> Result<Message, String> {
-        let node = |key: &str| -> Result<NodeId, String> {
+    /// Parses an envelope rendered by [`Message::to_json`].  An envelope
+    /// with a readable `src`, `dest` and `body.type` but an unknown type
+    /// or a bad field comes back with the `error` reply its sender is
+    /// owed.
+    pub fn from_json(json: &Json) -> Result<Message, BadMessage> {
+        let fail = |text: &str| BadMessage {
+            reply: None,
+            text: text.to_string(),
+        };
+        let node = |key: &str| {
             json.get(key)
-                .and_then(Json::as_i64)
+                .and_then(Json::as_u64)
                 .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| format!("missing or invalid {key}"))
+                .ok_or_else(|| fail(&format!("missing or invalid {key}")))
         };
-        let body = json.get("body").ok_or("missing body")?;
-        let u64_field = |key: &str| -> Result<u64, String> {
-            body.get(key)
-                .and_then(Json::as_i64)
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or_else(|| format!("missing or invalid body.{key}"))
-        };
+        let (src, dest) = (node("src")?, node("dest")?);
+        let body = json.get("body").ok_or_else(|| fail("missing body"))?;
         let kind = body
             .get("type")
             .and_then(Json::as_str)
-            .ok_or("missing body.type")?;
-        let parsed = match kind {
-            "init" => Body::Init {
-                msg_id: u64_field("msg_id")?,
-                node_id: body
-                    .get("node_id")
-                    .and_then(Json::as_i64)
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or("missing or invalid body.node_id")?,
-                n: body
-                    .get("n")
-                    .and_then(Json::as_i64)
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or("missing or invalid body.n")?,
-            },
-            "init_ok" => Body::InitOk {
-                in_reply_to: u64_field("in_reply_to")?,
-            },
-            "topology" => Body::Topology {
-                msg_id: u64_field("msg_id")?,
-                neighbors: body
-                    .get("neighbors")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing body.neighbors")?
-                    .iter()
-                    .map(|v| {
-                        v.as_i64()
-                            .and_then(|i| u32::try_from(i).ok())
-                            .ok_or_else(|| "bad neighbor id".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            },
-            "topology_ok" => Body::TopologyOk {
-                in_reply_to: u64_field("in_reply_to")?,
-            },
-            "broadcast" => Body::Broadcast {
-                msg_id: u64_field("msg_id")?,
-                value: u64_field("value")?,
-            },
-            "broadcast_ok" => Body::BroadcastOk {
-                in_reply_to: u64_field("in_reply_to")?,
-            },
-            "read" => Body::Read {
-                msg_id: u64_field("msg_id")?,
-            },
-            "read_ok" => Body::ReadOk {
-                in_reply_to: u64_field("in_reply_to")?,
-                values: values_from(body, "values")?,
-            },
-            "gossip" => Body::Gossip {
-                values: values_from(body, "values")?,
-            },
-            "gossip_ack" => Body::GossipAck {
-                values: values_from(body, "values")?,
-            },
-            "tick" => Body::Tick {
-                tick: u64_field("tick")?,
-            },
-            other => return Err(format!("unknown message type {other:?}")),
-        };
-        Ok(Message {
-            src: node("src")?,
-            dest: node("dest")?,
-            body: parsed,
-        })
+            .ok_or_else(|| fail("missing body.type"))?;
+        match body_from_json(body, kind) {
+            Ok(parsed) => Ok(Message {
+                src,
+                dest,
+                body: parsed,
+            }),
+            Err((code, text)) => Err(BadMessage {
+                reply: Some(Message {
+                    src: dest,
+                    dest: src,
+                    body: Body::Error {
+                        in_reply_to: body.get("msg_id").and_then(Json::as_u64),
+                        code,
+                        text: text.clone(),
+                    },
+                }),
+                text,
+            }),
+        }
     }
 
     /// One compact JSON line (the stdio wire format, no trailing newline).
@@ -278,8 +390,12 @@ impl Message {
     }
 
     /// Parses one JSON line.
-    pub fn from_line(line: &str) -> Result<Message, String> {
-        Message::from_json(&Json::parse(line).map_err(|e| format!("bad JSON line: {e}"))?)
+    pub fn from_line(line: &str) -> Result<Message, BadMessage> {
+        let json = Json::parse(line).map_err(|e| BadMessage {
+            reply: None,
+            text: format!("bad JSON line: {e}"),
+        })?;
+        Message::from_json(&json)
     }
 }
 
@@ -357,6 +473,48 @@ mod tests {
                 dest: 5,
                 body: Body::Tick { tick: 42 },
             },
+            Message {
+                src: CLIENT,
+                dest: 5,
+                body: Body::Stats { msg_id: 5 },
+            },
+            Message {
+                src: 5,
+                dest: CLIENT,
+                body: Body::StatsOk {
+                    in_reply_to: 5,
+                    gossip_sent: 120,
+                    acks_sent: 31,
+                    retries: 17,
+                },
+            },
+            Message {
+                src: 5,
+                dest: CLIENT,
+                body: Body::Error {
+                    in_reply_to: Some(6),
+                    code: NOT_SUPPORTED,
+                    text: "unknown message type \"warp\"".into(),
+                },
+            },
+            Message {
+                src: 5,
+                dest: CLIENT,
+                body: Body::Error {
+                    in_reply_to: None,
+                    code: MALFORMED_REQUEST,
+                    text: "missing or invalid body.msg_id".into(),
+                },
+            },
+            // Integers above i64::MAX stay exact on the wire.
+            Message {
+                src: CLIENT,
+                dest: 5,
+                body: Body::Broadcast {
+                    msg_id: 1 << 63,
+                    value: u64::MAX,
+                },
+            },
         ]
     }
 
@@ -381,8 +539,50 @@ mod tests {
 
     #[test]
     fn garbage_lines_are_rejected() {
-        assert!(Message::from_line("not json").is_err());
-        assert!(Message::from_line("{\"src\":1}").is_err());
-        assert!(Message::from_line("{\"src\":1,\"dest\":2,\"body\":{\"type\":\"warp\"}}").is_err());
+        for line in [
+            "not json",
+            "{\"src\":1}",
+            "{\"src\":1,\"dest\":2,\"body\":{}}",
+        ] {
+            let bad = Message::from_line(line).unwrap_err();
+            assert_eq!(bad.reply, None, "{line}: not an envelope, no reply");
+        }
+    }
+
+    #[test]
+    fn bad_bodies_owe_their_sender_a_typed_error() {
+        let cases = [
+            (
+                r#"{"src":4,"dest":2,"body":{"type":"warp","msg_id":8}}"#,
+                Some(8),
+                NOT_SUPPORTED,
+            ),
+            (
+                r#"{"src":4,"dest":2,"body":{"type":"broadcast","msg_id":9}}"#,
+                Some(9),
+                MALFORMED_REQUEST,
+            ),
+            (
+                r#"{"src":4,"dest":2,"body":{"type":"gossip","values":[-1]}}"#,
+                None,
+                MALFORMED_REQUEST,
+            ),
+        ];
+        for (line, want_reply_to, want_code) in cases {
+            let bad = Message::from_line(line).unwrap_err();
+            let reply = bad.reply.unwrap_or_else(|| panic!("{line}: no reply"));
+            assert_eq!((reply.src, reply.dest), (2, 4), "back to the sender");
+            match reply.body {
+                Body::Error {
+                    in_reply_to,
+                    code,
+                    text,
+                } => {
+                    assert_eq!((in_reply_to, code), (want_reply_to, want_code), "{line}");
+                    assert_eq!(text, bad.text);
+                }
+                other => panic!("{line}: expected error, got {other:?}"),
+            }
+        }
     }
 }

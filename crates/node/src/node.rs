@@ -1,25 +1,31 @@
-//! The broadcast service node: gossip with per-peer acks, capped
-//! exponential-backoff retries, and a Thm-7 transmit cadence.
+//! The broadcast service node: eager push on the Thm-7 transmit cadence,
+//! useful-only replies, and per-peer anti-entropy.
 //!
-//! A [`GossipNode`] holds a grow-only set of values and, for every
-//! `(peer, value)` pair, an [`AckState`]:
+//! A [`GossipNode`] holds a grow-only set of values and keeps its
+//! bookkeeping **per peer**: the set of values the peer is known to hold
+//! (from the peer's own messages, or from what we sent it) and, while the
+//! peer is known to be behind, one re-send timer.  Every `gossip` and
+//! `gossip_ack` carries the sender's whole held set, so any message tells
+//! its receiver exactly what the sender had.  Four rules move the values:
 //!
-//! ```text
-//!           send gossip                    GossipAck / peer gossips v back
-//! (absent) ────────────► SentUnconfirmed ────────────────────────────────► Confirmed
-//!    │
-//!    │ peer gossips v to us (peer evidently holds v; ack sent at once)
-//!    └───────────► ReceivedUnconfirmed   (terminal — nothing owed)
-//! ```
+//! * **Eager push.**  On a cadence tick, each peer not known to hold our
+//!   whole set gets one `gossip`.  It is fire-and-forget: the peer is then
+//!   assumed to hold the set.
+//! * **Useful-only replies.**  A receiver answers a `gossip`/`gossip_ack`
+//!   with a `gossip_ack` only if the message taught it something or shows
+//!   that the sender lacks something.  Replies go out at once.
+//! * **Targeted re-send.**  A peer whose last message showed it lacks
+//!   values we hold is re-sent our set `backoff.delay(k)` ticks after the
+//!   `k`-th send, until a later message from it shows it caught up.
+//! * **Periodic sync.**  Each informed node sends its set to the next peer
+//!   of a fixed rotation over all its peers, `backoff.delay(syncs)` ticks
+//!   after the last sync; learning a value resets `syncs`.  Sync finds the
+//!   peers whose pushes were lost without a word — an uninformed node
+//!   behind a healed partition never transmits on its own.
 //!
-//! Unconfirmed sends retry with exponential backoff
-//! (`min(base · factor^(attempts−1), cap)` ticks), so a value keeps being
-//! re-offered to a partitioned or sleeping peer until the link heals and
-//! an ack finally lands — that retry loop *is* the partition-recovery
-//! mechanism.  All sends are additionally gated by the wrapped protocol's
-//! transmit cadence ([`EventDriven`]): on ticks where Thm-7 would stay
-//! silent the node stays silent, which keeps per-tick channel load at the
-//! paper's level instead of flooding.
+//! Pushes, re-sends and syncs wait for the wrapped protocol's transmit
+//! cadence ([`EventDriven`]): where Thm-7 would stay silent the node stays
+//! silent, which keeps per-tick channel load at the paper's level.
 
 use radio_broadcast::distributed::EventDriven;
 use radio_graph::NodeId;
@@ -28,13 +34,15 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::msg::{Body, Message, CLIENT};
 
-/// Retry-delay policy: attempt `k` (1-based) schedules the next retry
-/// `min(base · factor^(k−1), cap)` ticks out.
+/// Anti-entropy pacing: after `k` sends (1-based) the next one is due
+/// `min(base · factor^(k−1), cap)` ticks later.  It spaces both the
+/// targeted re-sends to a peer that is behind (`k` = sends so far) and
+/// the periodic syncs (`k` = syncs since the node last learned a value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffPolicy {
     /// Delay after the first send, in ticks (≥ 1).
     pub base: u64,
-    /// Multiplier per failed attempt (≥ 1).
+    /// Multiplier per further send (≥ 1).
     pub factor: u64,
     /// Ceiling on the delay, in ticks.
     pub cap: u64,
@@ -64,31 +72,29 @@ impl BackoffPolicy {
     }
 }
 
-/// Delivery state of one value at one peer, from this node's viewpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckState {
-    /// We offered the value and have no evidence the peer holds it.
-    SentUnconfirmed {
-        /// Sends so far (≥ 1).
-        attempts: u32,
-        /// Next tick at which a retry is due.
-        next_retry: u64,
-    },
-    /// We learned the value *from* this peer — they hold it; nothing owed.
-    ReceivedUnconfirmed,
-    /// The peer confirmed receipt (ack, or gossiped the value back).
-    Confirmed,
-}
-
-/// Message-economy counters for one node.
+/// Message-economy counters for one node.  Every message the node hands
+/// to the network is counted in `gossip_sent + acks_sent`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeCounters {
-    /// `gossip` messages sent (first offers and retries).
+    /// `gossip` messages sent (pushes, re-sends and syncs).
     pub gossip_sent: u64,
-    /// `gossip_ack` messages sent.
+    /// `gossip_ack` replies sent.
     pub acks_sent: u64,
-    /// Retries among `gossip_sent` (attempts beyond the first).
+    /// Anti-entropy sends among `gossip_sent`: re-sends and syncs to a
+    /// peer already believed to hold everything sent.
     pub retries: u64,
+}
+
+/// What this node knows about one peer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Peer {
+    /// How many of our values the peer is known to hold.  A peer is only
+    /// ever credited with our whole set (by its own message, or by our
+    /// send), and that set only grows, so the count identifies the set.
+    known: usize,
+    /// While the peer's last message showed it lacks values we hold:
+    /// `(sends so far, tick the next re-send is due)`.
+    resend: Option<(u32, u64)>,
 }
 
 /// One deterministic broadcast-service node.
@@ -96,12 +102,16 @@ pub struct NodeCounters {
 pub struct GossipNode<P: Protocol> {
     id: NodeId,
     peers: Vec<NodeId>,
+    /// Per-peer state, parallel to `peers`.
+    state: Vec<Peer>,
     values: BTreeSet<u64>,
     /// value → tick first learned.
     first_learned: BTreeMap<u64, u64>,
-    /// peer → value → state.  BTree maps keep iteration (and therefore
-    /// message emission) in a deterministic order.
-    acks: BTreeMap<NodeId, BTreeMap<u64, AckState>>,
+    /// Periodic sync: syncs since the last learned value, the tick the
+    /// next one is due, and the rotation cursor into `peers`.
+    syncs: u32,
+    next_sync: u64,
+    cursor: usize,
     cadence: EventDriven<P>,
     backoff: BackoffPolicy,
     /// Message counters.
@@ -123,10 +133,13 @@ impl<P: Protocol> GossipNode<P> {
     ) -> GossipNode<P> {
         GossipNode {
             id,
+            state: vec![Peer::default(); peers.len()],
             peers,
             values: BTreeSet::new(),
             first_learned: BTreeMap::new(),
-            acks: BTreeMap::new(),
+            syncs: 0,
+            next_sync: u64::MAX,
+            cursor: 0,
             cadence: EventDriven::new(proto, id, n, master),
             backoff,
             counters: NodeCounters::default(),
@@ -153,28 +166,17 @@ impl<P: Protocol> GossipNode<P> {
         self.first_learned.get(&value).copied()
     }
 
-    /// The ack state of `value` at `peer`, if any.
-    pub fn ack_state(&self, peer: NodeId, value: u64) -> Option<AckState> {
-        self.acks.get(&peer).and_then(|m| m.get(&value)).copied()
-    }
-
-    /// Values still awaiting confirmation from some peer.
-    pub fn unconfirmed(&self) -> usize {
-        self.acks
-            .values()
-            .flat_map(|m| m.values())
-            .filter(|s| matches!(s, AckState::SentUnconfirmed { .. }))
-            .count()
-    }
-
     fn learn(&mut self, value: u64, now: u64) -> bool {
-        if self.values.insert(value) {
-            self.first_learned.insert(value, now);
-            self.cadence.inform(now);
-            true
-        } else {
-            false
+        if !self.values.insert(value) {
+            return false;
         }
+        self.first_learned.insert(value, now);
+        self.cadence.inform(now);
+        self.syncs = 0;
+        self.next_sync = self
+            .next_sync
+            .min(now.saturating_add(self.backoff.delay(1)));
+        true
     }
 
     /// Handles one incoming message at `now`, returning the messages to
@@ -188,114 +190,110 @@ impl<P: Protocol> GossipNode<P> {
                 body,
             }]
         };
-        match &msg.body {
+        match msg.body {
             Body::Init { msg_id, .. } => reply(Body::InitOk {
-                in_reply_to: *msg_id,
+                in_reply_to: msg_id,
             }),
             Body::Topology { msg_id, neighbors } => {
-                self.peers = neighbors.clone();
+                self.state = vec![Peer::default(); neighbors.len()];
+                self.peers = neighbors;
                 reply(Body::TopologyOk {
-                    in_reply_to: *msg_id,
+                    in_reply_to: msg_id,
                 })
             }
             Body::Broadcast { msg_id, value } => {
-                self.learn(*value, now);
+                self.learn(value, now);
                 reply(Body::BroadcastOk {
-                    in_reply_to: *msg_id,
+                    in_reply_to: msg_id,
                 })
             }
             Body::Read { msg_id } => reply(Body::ReadOk {
-                in_reply_to: *msg_id,
+                in_reply_to: msg_id,
                 values: self.values.iter().copied().collect(),
             }),
-            Body::Gossip { values } => {
-                let values = values.clone();
-                let peer = msg.src;
-                for &v in &values {
-                    self.learn(v, now);
-                    let slot = self.acks.entry(peer).or_default().entry(v);
-                    // The peer holds v.  An outstanding offer of ours is
-                    // thereby confirmed; otherwise record that v came
-                    // from them (terminal — we owe only the ack below).
-                    use std::collections::btree_map::Entry;
-                    match slot {
-                        Entry::Occupied(mut e) => {
-                            if matches!(e.get(), AckState::SentUnconfirmed { .. }) {
-                                e.insert(AckState::Confirmed);
-                            }
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert(AckState::ReceivedUnconfirmed);
-                        }
-                    }
+            Body::Stats { msg_id } => reply(Body::StatsOk {
+                in_reply_to: msg_id,
+                gossip_sent: self.counters.gossip_sent,
+                acks_sent: self.counters.acks_sent,
+                retries: self.counters.retries,
+            }),
+            Body::Gossip { values: mut held } | Body::GossipAck { values: mut held } => {
+                held.sort_unstable();
+                held.dedup();
+                let mut taught = false;
+                for &v in &held {
+                    taught |= self.learn(v, now);
+                }
+                // The sender's set is now a subset of ours: it lacks something
+                // iff it is smaller, and holds ours once it has any reply.
+                let lacks = held.len() < self.values.len();
+                if let Some(i) = self.peers.iter().position(|&p| p == peer) {
+                    let st = &mut self.state[i];
+                    st.known = self.values.len();
+                    st.resend = if lacks {
+                        st.resend
+                            .or(Some((1, now.saturating_add(self.backoff.delay(1)))))
+                    } else {
+                        None
+                    };
+                }
+                if !(taught || lacks) {
+                    return Vec::new();
                 }
                 self.counters.acks_sent += 1;
-                reply(Body::GossipAck { values })
+                reply(Body::GossipAck {
+                    values: self.values.iter().copied().collect(),
+                })
             }
-            Body::GossipAck { values } => {
-                if let Some(per_peer) = self.acks.get_mut(&msg.src) {
-                    for v in values {
-                        if let Some(s @ AckState::SentUnconfirmed { .. }) = per_peer.get_mut(v) {
-                            *s = AckState::Confirmed;
-                        }
-                    }
-                }
-                Vec::new()
-            }
-            Body::Tick { tick } => self.on_tick(*tick),
+            Body::Tick { tick } => self.on_tick(tick),
             // Replies addressed to the client; a node ignores them.
             Body::InitOk { .. }
             | Body::TopologyOk { .. }
             | Body::BroadcastOk { .. }
-            | Body::ReadOk { .. } => Vec::new(),
+            | Body::ReadOk { .. }
+            | Body::StatsOk { .. }
+            | Body::Error { .. } => Vec::new(),
         }
     }
 
-    /// Advances the node's clock to `now`: if the Thm-7 cadence elects to
-    /// transmit, offers each peer every value that is due (unsent, or
-    /// unconfirmed past its retry deadline), bundled into one `gossip`
-    /// per peer.
+    /// Advances the node's clock to `now`.  If the Thm-7 cadence elects
+    /// to transmit, sends one `gossip` (our whole set) to every peer that
+    /// is owed a push, a due re-send, or this tick's sync.
     pub fn on_tick(&mut self, now: u64) -> Vec<Message> {
         if !self.cadence.wants_transmit(now) {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        for i in 0..self.peers.len() {
-            let peer = self.peers[i];
-            let per_peer = self.acks.entry(peer).or_default();
-            let mut due = Vec::new();
-            for &v in &self.values {
-                match per_peer.get_mut(&v) {
-                    None => {
-                        due.push(v);
-                        per_peer.insert(
-                            v,
-                            AckState::SentUnconfirmed {
-                                attempts: 1,
-                                next_retry: now + self.backoff.delay(1),
-                            },
-                        );
-                    }
-                    Some(AckState::SentUnconfirmed {
-                        attempts,
-                        next_retry,
-                    }) if *next_retry <= now => {
-                        due.push(v);
-                        *attempts = attempts.saturating_add(1);
-                        *next_retry = now + self.backoff.delay(*attempts);
-                        self.counters.retries += 1;
-                    }
-                    _ => {}
+        let sync = (self.next_sync <= now && !self.peers.is_empty()).then(|| {
+            self.syncs = self.syncs.saturating_add(1);
+            self.next_sync = now.saturating_add(self.backoff.delay(self.syncs));
+            let i = self.cursor % self.peers.len();
+            self.cursor = i + 1;
+            i
+        });
+        let (ours, mut out) = (self.values.len(), Vec::new());
+        for (i, st) in self.state.iter_mut().enumerate() {
+            let push = st.known < ours;
+            let resend = match &mut st.resend {
+                Some((k, due)) if *due <= now => {
+                    *k = k.saturating_add(1);
+                    *due = now.saturating_add(self.backoff.delay(*k));
+                    true
                 }
+                _ => false,
+            };
+            if !(push || resend || sync == Some(i)) {
+                continue;
             }
-            if !due.is_empty() {
-                self.counters.gossip_sent += 1;
-                out.push(Message {
-                    src: self.id,
-                    dest: peer,
-                    body: Body::Gossip { values: due },
-                });
-            }
+            self.counters.gossip_sent += 1;
+            self.counters.retries += u64::from(!push);
+            st.known = ours;
+            out.push(Message {
+                src: self.id,
+                dest: self.peers[i],
+                body: Body::Gossip {
+                    values: self.values.iter().copied().collect(),
+                },
+            });
         }
         out
     }
@@ -316,9 +314,31 @@ mod tests {
     use radio_broadcast::distributed::Flooding;
 
     fn node(id: NodeId, peers: Vec<NodeId>) -> GossipNode<Flooding> {
-        // Flooding transmits every tick once informed, so cadence never
-        // hides the ack machine in these tests.
-        GossipNode::new(Flooding, id, 8, peers, 99, BackoffPolicy::default())
+        // Flooding transmits every tick once informed, so the cadence
+        // never hides a push, re-send or sync in these tests.
+        GossipNode::new(Flooding, id, 16, peers, 99, BackoffPolicy::default())
+    }
+
+    fn broadcast(value: u64) -> Message {
+        client_msg(0, Body::Broadcast { msg_id: 1, value })
+    }
+
+    fn gossip(src: NodeId, dest: NodeId, values: Vec<u64>) -> Message {
+        Message {
+            src,
+            dest,
+            body: Body::Gossip { values },
+        }
+    }
+
+    /// `(tick, dest)` of every message `on_tick` sends over `ticks`.
+    fn sends(
+        a: &mut GossipNode<Flooding>,
+        ticks: std::ops::RangeInclusive<u64>,
+    ) -> Vec<(u64, NodeId)> {
+        ticks
+            .flat_map(|t| a.on_tick(t).into_iter().map(move |m| (t, m.dest)))
+            .collect()
     }
 
     #[test]
@@ -336,76 +356,90 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_then_gossip_then_ack_reaches_confirmed() {
+    fn push_carries_the_held_set_and_replies_only_when_useful() {
         let mut a = node(0, vec![1]);
         let mut b = node(1, vec![0]);
-        let replies = a.handle(
-            client_msg(
-                0,
-                Body::Broadcast {
-                    msg_id: 9,
-                    value: 7,
-                },
-            ),
-            1,
-        );
+        let replies = a.handle(broadcast(7), 1);
         assert!(matches!(
             replies[0].body,
-            Body::BroadcastOk { in_reply_to: 9 }
+            Body::BroadcastOk { in_reply_to: 1 }
         ));
-        // a offers 7 to b.
+        // a pushes its whole set to b, once.
         let out = a.on_tick(2);
-        assert_eq!(out.len(), 1);
-        assert!(matches!(
-            a.ack_state(1, 7),
-            Some(AckState::SentUnconfirmed { attempts: 1, .. })
-        ));
-        // b learns it, remembers the provenance, and acks.
+        assert_eq!(out, vec![gossip(0, 1, vec![7])]);
+        // b learns 7 and, having been taught, answers with its set.
         let acks = b.handle(out[0].clone(), 3);
-        assert!(b.values().contains(&7));
         assert_eq!(b.learned_at(7), Some(3));
-        assert_eq!(b.ack_state(0, 7), Some(AckState::ReceivedUnconfirmed));
-        assert!(matches!(acks[0].body, Body::GossipAck { .. }));
-        // the ack confirms a's offer.
-        a.handle(acks[0].clone(), 4);
-        assert_eq!(a.ack_state(1, 7), Some(AckState::Confirmed));
-        assert_eq!(a.unconfirmed(), 0);
-        // b never re-offers to 0 (ReceivedUnconfirmed is terminal) but a
-        // stays quiet too: nothing due.
-        assert!(a.on_tick(10).is_empty());
+        assert!(matches!(&acks[0].body, Body::GossipAck { values } if values == &[7]));
+        // The ack teaches a nothing and shows b lacks nothing: no reply,
+        // and neither side owes the other a push.
+        assert!(a.handle(acks[0].clone(), 4).is_empty());
+        assert!(b.on_tick(4).is_empty());
+        // A repeated gossip is no news either way: silence.
+        assert!(b.handle(gossip(0, 1, vec![7]), 5).is_empty());
+        // A sender that lacks values gets our set back, duplicates or not,
+        // even when it is not one of our peers.
+        let back = b.handle(gossip(9, 1, vec![3, 3]), 6);
+        assert_eq!(back[0].dest, 9);
+        assert!(matches!(&back[0].body, Body::GossipAck { values } if values == &[3, 7]));
+        assert_eq!(
+            (
+                b.counters.gossip_sent,
+                b.counters.acks_sent,
+                b.counters.retries
+            ),
+            (0, 2, 0)
+        );
     }
 
     #[test]
-    fn lost_gossip_retries_with_growing_gaps() {
-        let mut a = node(0, vec![1]);
-        a.handle(
-            client_msg(
-                0,
-                Body::Broadcast {
-                    msg_id: 1,
-                    value: 5,
-                },
-            ),
-            1,
-        );
-        let mut send_ticks = Vec::new();
-        for t in 2..40 {
-            if !a.on_tick(t).is_empty() {
-                send_ticks.push(t);
-            }
-        }
-        // base=2, factor=2: sends at 2, then +2, +4, +8, +16 → 4, 8, 16, 32.
-        assert_eq!(send_ticks, vec![2, 4, 8, 16, 32]);
-        assert_eq!(a.counters.retries, 4);
-        // An eventual incoming gossip of the same value also confirms.
-        let from_peer = Message {
-            src: 1,
-            dest: 0,
-            body: Body::Gossip { values: vec![5] },
-        };
-        a.handle(from_peer, 40);
-        assert_eq!(a.ack_state(1, 5), Some(AckState::Confirmed));
-        assert!(a.on_tick(41).is_empty());
+    fn lagging_peer_gets_targeted_resends_until_it_catches_up() {
+        // Peer 1 sits last in the sync rotation, so every send to it in
+        // this window is a targeted re-send.
+        let mut a = node(0, vec![2, 3, 4, 5, 6, 7, 8, 1]);
+        a.handle(broadcast(5), 1);
+        assert_eq!(a.on_tick(2).len(), 8, "eager push to every peer");
+        // Peer 1's gossip shows it lacks 5: reply at once, then re-send on
+        // the backoff (base 2, factor 2: gaps 2, 4, 8, 16).
+        let reply = a.handle(gossip(1, 0, vec![9]), 2);
+        assert!(matches!(&reply[0].body, Body::GossipAck { values } if values == &[5, 9]));
+        let to_one: Vec<u64> = sends(&mut a, 3..=40)
+            .into_iter()
+            .filter(|&(_, dest)| dest == 1)
+            .map(|(t, _)| t)
+            .collect();
+        assert_eq!(to_one, vec![4, 8, 16, 32]);
+        // 4 re-sends plus the syncs at 5, 9, 17 and 33 (the one at 3 was
+        // also peer 2's push of 9).
+        assert_eq!(a.counters.retries, 8);
+        // Once peer 1 shows it caught up, the re-sends stop.
+        assert!(a.handle(gossip(1, 0, vec![5, 9]), 41).is_empty());
+        assert!(sends(&mut a, 42..=64).iter().all(|&(_, dest)| dest != 1));
+    }
+
+    #[test]
+    fn sync_rotates_over_all_peers_and_restarts_when_a_value_is_learned() {
+        let mut a = node(0, vec![1, 2, 3]);
+        a.handle(broadcast(5), 1);
+        // Push at 2; syncs 2, 4, 8, 16 ticks apart after the learn at 1.
+        let mut want = vec![
+            (2, 1),
+            (2, 2),
+            (2, 3),
+            (3, 1),
+            (5, 2),
+            (9, 3),
+            (17, 1),
+            (33, 2),
+        ];
+        assert_eq!(sends(&mut a, 2..=40), want);
+        // A new value: push to everyone, and syncs restart at base pace
+        // from the next peer in the rotation.
+        a.handle(broadcast(6), 40);
+        want = vec![(41, 1), (41, 2), (41, 3), (42, 3), (44, 1), (48, 2)];
+        assert_eq!(sends(&mut a, 41..=50), want);
+        assert_eq!(a.counters.gossip_sent, 14);
+        assert_eq!(a.counters.retries, 8);
     }
 
     #[test]
@@ -423,26 +457,8 @@ mod tests {
         );
         assert!(matches!(out[0].body, Body::TopologyOk { in_reply_to: 2 }));
         assert_eq!(a.peers(), &[1, 5]);
-        a.handle(
-            client_msg(
-                3,
-                Body::Broadcast {
-                    msg_id: 3,
-                    value: 9,
-                },
-            ),
-            2,
-        );
-        a.handle(
-            client_msg(
-                3,
-                Body::Broadcast {
-                    msg_id: 4,
-                    value: 4,
-                },
-            ),
-            3,
-        );
+        a.handle(broadcast(9), 2);
+        a.handle(broadcast(4), 3);
         let out = a.handle(client_msg(3, Body::Read { msg_id: 5 }), 4);
         match &out[0].body {
             Body::ReadOk {
@@ -455,6 +471,35 @@ mod tests {
             other => panic!("expected read_ok, got {other:?}"),
         }
         assert_eq!(out[0].dest, CLIENT);
+    }
+
+    #[test]
+    fn stats_report_the_message_counters() {
+        let mut a = node(3, vec![1, 5]);
+        a.handle(broadcast(9), 1);
+        assert_eq!(a.on_tick(2).len(), 2);
+        let out = a.handle(client_msg(3, Body::Stats { msg_id: 6 }), 3);
+        assert_eq!(out[0].dest, CLIENT);
+        assert_eq!(
+            out[0].body,
+            Body::StatsOk {
+                in_reply_to: 6,
+                gossip_sent: 2,
+                acks_sent: 0,
+                retries: 0,
+            }
+        );
+    }
+
+    /// Ticks come from the stdin client unchecked: schedules saturate at
+    /// the end of time instead of overflowing.
+    #[test]
+    fn schedules_saturate_at_the_last_tick() {
+        let mut a = node(0, vec![1]);
+        a.handle(broadcast(5), u64::MAX - 1);
+        assert_eq!(a.on_tick(u64::MAX - 1).len(), 1, "push");
+        a.handle(gossip(1, 0, vec![]), u64::MAX);
+        assert_eq!(a.on_tick(u64::MAX).len(), 1, "sync");
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub struct NodeReport {
     /// Ticks from the last partition healing to full coverage, worst
     /// trial (0 without partitions or when coverage precedes the heal).
     pub post_heal_ticks: u64,
-    /// Retry gossip messages, summed over trials.
+    /// Anti-entropy `gossip` messages (targeted re-sends and periodic
+    /// syncs), summed over trials.
     pub retries: u64,
     /// Wall-clock time of the whole workload, nanoseconds.  The only
     /// non-deterministic field; see [`NodeReport::strip_timing`].
@@ -93,8 +94,7 @@ impl NodeReport {
     pub fn from_json(json: &Json) -> Result<NodeReport, String> {
         let int = |key: &str| -> Result<u64, String> {
             json.get(key)
-                .and_then(Json::as_i64)
-                .and_then(|v| u64::try_from(v).ok())
+                .and_then(Json::as_u64)
                 .ok_or_else(|| format!("missing or invalid {key}"))
         };
         let float = |key: &str| -> Result<f64, String> {
@@ -173,6 +173,24 @@ mod tests {
         let back = NodeReport::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.to_json().render(), line);
+    }
+
+    /// Seeds are full `u64`s: the ones at and above 2^63 used to render
+    /// as floats, which the parser rejected.
+    #[test]
+    fn seeds_survive_json_across_the_u64_range() {
+        for seed in [i64::MAX as u64, 1 << 63, u64::MAX] {
+            let report = NodeReport {
+                seed,
+                wall_ns: u64::MAX,
+                ..sample()
+            };
+            let line = report.to_json().render();
+            assert!(line.contains(&format!("\"seed\":{seed},")), "{line}");
+            let back = NodeReport::from_json(&Json::parse(&line).unwrap()).unwrap();
+            assert_eq!(back, report);
+            assert_eq!(back.to_json().render(), line);
+        }
     }
 
     #[test]

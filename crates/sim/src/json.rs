@@ -16,9 +16,9 @@
 //!   wants to read reports back.  Nesting is capped at [`MAX_DEPTH`] so
 //!   hostile input gets a [`JsonError`] instead of overflowing the stack.
 //!
-//! Numbers are split into [`Json::Int`] (exact `i64`) and [`Json::Num`]
-//! (`f64`); non-finite floats serialize as `null` since JSON has no
-//! representation for them.
+//! Numbers are split into [`Json::Int`] (exact `i64`), [`Json::UInt`]
+//! (exact `u64` above `i64::MAX`) and [`Json::Num`] (`f64`); non-finite
+//! floats serialize as `null` since JSON has no representation for them.
 //!
 //! ```
 //! use radio_sim::json::Json;
@@ -49,6 +49,12 @@ pub enum Json {
     Bool(bool),
     /// An integer that fits `i64`, serialized without a decimal point.
     Int(i64),
+    /// An integer above `i64::MAX` (up to `u64::MAX`), serialized without
+    /// a decimal point.  [`Json::from`] and [`Json::parse`] use it only
+    /// where [`Json::Int`] cannot hold the value, so every integer in
+    /// `i64::MIN..=u64::MAX` has one representation and round-trips
+    /// exactly.
+    UInt(u64),
     /// A double-precision float.  Non-finite values render as `null`.
     Num(f64),
     /// A string.
@@ -76,9 +82,7 @@ impl From<u32> for Json {
 }
 impl From<u64> for Json {
     fn from(v: u64) -> Json {
-        i64::try_from(v)
-            .map(Json::Int)
-            .unwrap_or(Json::Num(v as f64))
+        i64::try_from(v).map(Json::Int).unwrap_or(Json::UInt(v))
     }
 }
 impl From<usize> for Json {
@@ -145,10 +149,20 @@ impl Json {
         }
     }
 
-    /// The value as `f64` (accepts both [`Json::Int`] and [`Json::Num`]).
+    /// The value as `u64` if it is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(v) => u64::try_from(*v).ok(),
+            Json::UInt(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value as `f64` (accepts every number variant).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(v) => Some(*v as f64),
+            Json::UInt(v) => Some(*v as f64),
             Json::Num(v) => Some(*v),
             _ => None,
         }
@@ -213,6 +227,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Int(v) => out.push_str(&v.to_string()),
+            Json::UInt(v) => out.push_str(&v.to_string()),
             Json::Num(v) => {
                 if v.is_finite() {
                     // Rust's Display for f64 is the shortest representation
@@ -540,6 +555,9 @@ impl<'a> Parser<'a> {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Json::Int(v));
             }
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Json::UInt(v));
+            }
         }
         text.parse::<f64>()
             .map(Json::Num)
@@ -614,9 +632,42 @@ mod tests {
         assert_eq!(Json::parse("7").unwrap(), Json::Int(7));
         assert_eq!(Json::parse("7.0").unwrap(), Json::Num(7.0));
         assert_eq!(Json::parse("1e3").unwrap(), Json::Num(1000.0));
-        // Integer too large for i64 falls back to f64.
+        // Integer too large for u64 falls back to f64.
         let big = Json::parse("99999999999999999999999").unwrap();
         assert!(matches!(big, Json::Num(_)));
+    }
+
+    #[test]
+    fn integers_round_trip_exactly_across_the_u64_range() {
+        let edges = [
+            i64::MIN as i128,
+            -1,
+            0,
+            i64::MAX as i128,
+            1 << 63,
+            u64::MAX as i128,
+        ];
+        for v in edges {
+            let json = match u64::try_from(v) {
+                Ok(u) => Json::from(u),
+                Err(_) => Json::from(v as i64),
+            };
+            let text = json.render();
+            assert_eq!(text, v.to_string(), "no float rendering");
+            let back = Json::parse(&text).unwrap();
+            assert_eq!(back, json, "{text}: one representation per integer");
+            assert_eq!(back.as_u64().map(i128::from), (v >= 0).then_some(v));
+            assert_eq!(
+                back.as_i64().map(i128::from),
+                i64::try_from(v).ok().map(i128::from)
+            );
+        }
+        assert_eq!(Json::from(u64::MAX), Json::UInt(u64::MAX));
+        assert_eq!(Json::from(i64::MAX as u64), Json::Int(i64::MAX));
+        assert!(Json::parse("18446744073709551616")
+            .unwrap()
+            .as_u64()
+            .is_none());
     }
 
     #[test]

@@ -344,10 +344,7 @@ impl RunReport {
                 .to_string(),
             n,
             p: json.get("p").and_then(Json::as_f64),
-            seed: json
-                .get("seed")
-                .and_then(Json::as_i64)
-                .and_then(|v| u64::try_from(v).ok()),
+            seed: json.get("seed").and_then(Json::as_u64),
             completed: json
                 .get("completed")
                 .and_then(Json::as_bool)
@@ -361,10 +358,7 @@ impl RunReport {
             round_to_half: get_opt_u32("round_to_half"),
             round_to_90: get_opt_u32("round_to_90"),
             round_to_99: get_opt_u32("round_to_99"),
-            wall_ns: json
-                .get("wall_ns")
-                .and_then(Json::as_i64)
-                .and_then(|v| u64::try_from(v).ok()),
+            wall_ns: json.get("wall_ns").and_then(Json::as_u64),
             kernel: json
                 .get("kernel")
                 .and_then(Json::as_str)
@@ -561,6 +555,22 @@ mod tests {
         // And through the text serializer too.
         let reparsed = Json::parse(&json.render_pretty()).unwrap();
         assert_eq!(RunReport::from_json(&reparsed).unwrap(), report);
+    }
+
+    /// Seeds are full `u64`s: the ones at and above 2^63 used to render
+    /// as floats and come back as no seed at all.
+    #[test]
+    fn seeds_survive_json_across_the_u64_range() {
+        for seed in [i64::MAX as u64, 1 << 63, u64::MAX] {
+            let report = RunReport::from_result("x", &sample_result())
+                .with_seed(seed)
+                .with_wall_ns(u64::MAX);
+            let text = report.to_json().render();
+            assert!(text.contains(&format!("\"seed\":{seed},")), "{text}");
+            let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, report);
+            assert_eq!(back.to_json().render(), text);
+        }
     }
 
     #[test]

@@ -50,6 +50,80 @@ fn partitioned_crashing_cluster_recovers_to_full_coverage() {
     assert!(report.delivery_p50 <= report.delivery_p99);
 }
 
+/// `msgs_per_op` counts every message a node hands to the network, and
+/// nothing else: times the op count it is exactly the network's `sent`.
+/// A new message kind the counters miss would break the equality.
+#[test]
+fn msgs_per_op_accounts_for_every_sent_message() {
+    let quiet = WorkloadConfig {
+        n: 64,
+        ops: 8,
+        ticks: 400,
+        trials: 2,
+        seed: 5,
+        ..WorkloadConfig::default()
+    };
+    for cfg in [damaged_config(2024, 2), quiet] {
+        let report = run_workload(&cfg);
+        let total_ops = (cfg.ops * cfg.trials) as f64;
+        assert_eq!(
+            report.msgs_per_op * total_ops,
+            report.msgs_sent as f64,
+            "{report:?}"
+        );
+        assert!(report.msgs_sent > 0);
+    }
+}
+
+/// One cell of the node fault matrix: 1024 nodes, 16 ops, 2 trials,
+/// 1200 ticks unless the cell says otherwise.  Every cell must cover
+/// every eligible node and converge in both trials.
+fn fault_matrix_cell(seed: u64, ticks: u64, faults: &str, loss: f64, jitter: u64, cut: &[&str]) {
+    let mut cfg = WorkloadConfig {
+        n: 1024,
+        ops: 16,
+        ticks,
+        trials: 2,
+        seed,
+        ..WorkloadConfig::default()
+    };
+    if !faults.is_empty() {
+        cfg.faults = FaultConfig::parse(faults).unwrap();
+    }
+    cfg.net.loss = loss;
+    cfg.net.delay_jitter = jitter;
+    cfg.net.partitions = cut.iter().map(|p| Partition::parse(p).unwrap()).collect();
+    let report = run_workload(&cfg);
+    assert_eq!(report.coverage, 1.0, "{cfg:?}: {report:?}");
+    assert_eq!(report.converged_trials, 2, "{cfg:?}: {report:?}");
+}
+
+#[test]
+fn fault_matrix_loss_crash_sleep() {
+    fault_matrix_cell(5, 1200, "crash=0.05,sleep=0.1", 0.2, 0, &[]);
+}
+
+#[test]
+fn fault_matrix_jitter_loss_three_way_partition() {
+    fault_matrix_cell(6, 1200, "", 0.05, 4, &["50:200:3"]);
+}
+
+#[test]
+fn fault_matrix_crash_sleep_light_burst() {
+    fault_matrix_cell(7, 1200, "crash=0.05,sleep=0.05,burst=0.1:0.3", 0.0, 0, &[]);
+}
+
+#[test]
+fn fault_matrix_partition_crash_sticky_burst() {
+    fault_matrix_cell(3, 1200, "crash=0.05,burst=0.05:0.5", 0.0, 0, &["10:200"]);
+}
+
+/// Bursts with a 75% stationary bad fraction (p_bad 0.3, p_good 0.1).
+#[test]
+fn fault_matrix_mostly_bad_burst() {
+    fault_matrix_cell(9, 1500, "crash=0.05,burst=0.3:0.1", 0.0, 0, &[]);
+}
+
 #[test]
 fn workload_reports_are_seed_reproducible_bytes() {
     let render = |seed: u64| {
